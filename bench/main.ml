@@ -9,13 +9,12 @@
      bench/main.exe micro       -- Bechamel microbenchmarks
      bench/main.exe json [path]       -- microbenchmarks, machine readable
                                          (default path: BENCH_micro.json)
-     bench/main.exe perf-check [base] -- fail if any fig1/*, batch/* or
-                                         specialize/* microbench is >25%
-                                         slower than the baseline file
+     bench/main.exe perf-check [base] -- fail if any fig1/* or batch/*
+                                         microbench is >25% slower than the
+                                         baseline file
                                          (default: bench/BASELINE_micro.json),
-                                         or a within-run structural ratio
-                                         (batch amortization, proof
-                                         specialization) collapses
+                                         or the within-run batch amortization
+                                         ratio collapses
      bench/main.exe macro [path]      -- time table1/table2/ablations at
                                          domains=1 vs domains=N (RKD_DOMAINS
                                          or the core count) and write the
@@ -160,41 +159,6 @@ let batch_fixture () =
   done;
   (vm, ctxt, batch)
 
-(* Proof-specialized vs guard-elision-only JIT on the same program: the
-   loop body carries a power-of-two Mul/Div/Mod chain on a masked
-   (provably non-negative) register, so the specialized build runs
-   shifts/masks and a fast Rep while the elided build keeps the original
-   arithmetic — both with identical step counts and results. *)
-let specialize_fixture () =
-  let open Rmt.Insn in
-  let prog =
-    Rmt.Program.make ~name:"spec_stream"
-      [ Ld_imm (0, 0); Ld_imm (1, 0);
-        Rep (64, 8);
-        Alu_imm (And, 1, 63); Ld_ctxt (2, 1); Alu_imm (And, 2, 4095);
-        Alu_imm (Mul, 2, 8); Alu_imm (Div, 2, 4); Alu_imm (Mod, 2, 32);
-        Alu (Add, 0, 2); Alu_imm (Add, 1, 1);
-        Exit ]
-  in
-  let helpers = Rmt.Helper.with_defaults () in
-  let report =
-    match Rmt.Verifier.check ~helpers ~model_costs:[||] prog with
-    | Ok r -> r
-    | Error v -> failwith (Rmt.Verifier.violation_to_string v)
-  in
-  let store = Rmt.Model_store.create () in
-  let link ?facts () =
-    Rmt.Loaded.link ?facts ~proofs:report.Rmt.Verifier.proof ~store ~helpers ~maps:[||]
-      ~models:[||] prog
-  in
-  let specialized = Rmt.Jit.compile (link ~facts:report.Rmt.Verifier.facts ()) in
-  let elided = Rmt.Jit.compile (link ()) in
-  let ctxt = Rmt.Ctxt.create () in
-  for k = 0 to 63 do
-    Rmt.Ctxt.set ctxt k (k * 5)
-  done;
-  (specialized, elided, ctxt)
-
 (* Failsafe-layer fixture (DESIGN.md section 12): the same hook wired
    bare and breaker-protected, so the failsafe/* rows quantify what the
    protection costs on a healthy (closed-breaker, no-fault) datapath. *)
@@ -242,7 +206,6 @@ let micro_tests () =
   in
   let table_ctxt = Rmt.Ctxt.of_list [ (0, 40) ] in
   let bvm, bctxt, batch = batch_fixture () in
-  let sp_specialized, sp_elided, sp_ctxt = specialize_fixture () in
   let fs_control, fs_breaker, fs_ctxt = failsafe_fixture () in
   let obs_counter = Obs.Counter.make "bench.obs.counter" in
   let obs_histo = Obs.Histo.make "bench.obs.histo" in
@@ -321,12 +284,6 @@ let micro_tests () =
       (Staged.stage (fun () ->
            Rmt.Batch.set_n batch 256;
            Rmt.Vm.invoke_batch bvm batch ~now));
-    (* Proof-specialized vs guard-elision-only JIT codegen on the same
-       stream loop; perf-check gates specialized <= elided. *)
-    Test.make ~name:"specialize/stream/specialized"
-      (Staged.stage (fun () -> Rmt.Jit.exec sp_specialized ~ctxt:sp_ctxt ~now));
-    Test.make ~name:"specialize/stream/elided"
-      (Staged.stage (fun () -> Rmt.Jit.exec sp_elided ~ctxt:sp_ctxt ~now));
     (* Failsafe rows (DESIGN.md section 12): hook dispatch bare vs
        breaker-protected on the healthy path (closed breaker, no faults),
        plus the breaker admission check itself. *)
@@ -399,23 +356,19 @@ let run_json path =
   write_json path results;
   Format.printf "wrote %d results to %s@." (List.length results) path
 
-(* Fail (exit 1) when any fig1/*, batch/* or specialize/* microbench
-   regresses more than 25%% against the checked-in baseline, or when one
-   of the two within-run structural ratios collapses:
+(* Fail (exit 1) when any fig1/* or batch/* microbench regresses more
+   than 25%% against the checked-in baseline, or when the within-run
+   batch amortization ratio collapses: loop64 / b64 — 2x+ when measured
+   quietly (max-of-7, see BASELINE_micro.json), gated at a loose 1.35x
+   so noisy shared-CPU runs don't flake.
 
-   - batch amortization: loop64 / b64 — 2x+ when measured quietly
-     (max-of-7, see BASELINE_micro.json), gated at a loose 1.35x so
-     noisy shared-CPU runs don't flake;
-   - proof specialization: specialized must not be slower than the
-     guard-elision-only compile beyond noise (15%%).
-
-   Within-run ratios compare two rows from the same process on the same
-   machine moments apart, so they survive the machine-speed drift the
-   absolute baseline tolerance has to absorb. *)
+   A within-run ratio compares two rows from the same process on the
+   same machine moments apart, so it survives the machine-speed drift
+   the absolute baseline tolerance has to absorb. *)
 let prefix_gated name =
   List.exists
     (fun p -> String.length name >= String.length p && String.sub name 0 (String.length p) = p)
-    [ "fig1/"; "batch/"; "specialize/" ]
+    [ "fig1/"; "batch/" ]
 
 let run_perf_check baseline_path =
   if not (Sys.file_exists baseline_path) then begin
@@ -459,8 +412,6 @@ let run_perf_check baseline_path =
   in
   Format.printf "@.within-run structural gates@.";
   structural "batch amortization" "batch/qmlp/loop64" "batch/qmlp/b64" ~min_ratio:1.35;
-  structural "proof specialization" "specialize/stream/elided" "specialize/stream/specialized"
-    ~min_ratio:0.85;
   if !failed then begin
     Format.printf "perf-check: FAILED@.";
     exit 1

@@ -1,11 +1,11 @@
 (* Absint-fact consumer: datapath program lint (DESIGN.md section 15).
 
-   Every rule reads either the verifier report's per-pc facts (the same
-   array the JIT specializes against) or structural properties of the
-   bytecode; none re-runs the abstract interpreter.  The one analysis
-   this module adds itself is a backward register-liveness pass over the
-   verifier-shaped CFG (forward jumps plus [Rep] back-edges), which the
-   verifier does not need but dead-store detection does. *)
+   Every rule reads either the verifier report's per-pc facts or
+   structural properties of the bytecode; none re-runs the abstract
+   interpreter.  The one analysis this module adds itself is a backward
+   register-liveness pass over the verifier-shaped CFG (forward jumps
+   plus [Rep] back-edges), which the verifier does not need but
+   dead-store detection does. *)
 
 module I = Rmt.Insn
 
@@ -156,32 +156,36 @@ let unreachable_code facts (prog : Rmt.Program.t) =
     prog.code;
   List.rev !fs
 
+(* A conditional whose comparison is infeasible on the interval facts
+   flowing into it is never taken; one whose negation is infeasible is
+   always taken. *)
 let dead_arms facts (prog : Rmt.Program.t) =
-  let plan = Rmt.Specialize.plan ~facts prog in
+  let module Iv = Rmt.Absint.Interval in
   let fs = ref [] in
+  let flag pc rule what =
+    fs :=
+      { rule;
+        pc;
+        severity = Warn;
+        message = Printf.sprintf "`%s` is %s" (I.to_string prog.code.(pc)) what }
+      :: !fs
+  in
   Array.iteri
-    (fun pc verdict ->
-      match verdict with
-      | Rmt.Specialize.B_keep -> ()
-      | Rmt.Specialize.B_always ->
-        fs :=
-          { rule = "branch-always";
-            pc;
-            severity = Warn;
-            message =
-              Printf.sprintf "`%s` is always taken: the fall-through arm is dead"
-                (I.to_string prog.code.(pc)) }
-          :: !fs
-      | Rmt.Specialize.B_never ->
-        fs :=
-          { rule = "branch-never";
-            pc;
-            severity = Warn;
-            message =
-              Printf.sprintf "`%s` is never taken: the branch is a constant fall-through"
-                (I.to_string prog.code.(pc)) }
-          :: !fs)
-    plan.Rmt.Specialize.branch;
+    (fun pc insn ->
+      let operands =
+        match insn, if pc < Array.length facts then facts.(pc) else None with
+        | I.Jcond (c, ra, rb, _), Some f -> Some (c, f.Rmt.Absint.regs.(ra), f.regs.(rb))
+        | I.Jcond_imm (c, ra, imm, _), Some f -> Some (c, f.Rmt.Absint.regs.(ra), Iv.const imm)
+        | _ -> None
+      in
+      match operands with
+      | None -> ()
+      | Some (c, a, b) ->
+        if Iv.refine c a b = None then
+          flag pc "branch-never" "never taken: the branch is a constant fall-through"
+        else if Iv.refine (Iv.negate_cond c) a b = None then
+          flag pc "branch-always" "always taken: the fall-through arm is dead")
+    prog.code;
   List.rev !fs
 
 (* A guard branch at [pc] skipping [pc+1 .. pc+off] is redundant when

@@ -70,7 +70,7 @@ end
 module Proof : sig
   type t = int
   (** Bit-packed per-instruction facts, cheap enough to consult on the
-      interpreter datapath and to specialize JIT closures against. *)
+      interpreter datapath and to pick unguarded JIT closures by. *)
 
   val none : t
   val reachable : t -> bool

@@ -72,8 +72,7 @@ val install :
     a name replaces it.
 
     When [resource_budget] is given, the compile-time {!Resource} report
-    (worst-case steps, scratch words, table slots — all post-
-    specialization) is checked against it and the install is refused with
+    (worst-case steps, scratch words, table slots) is checked against it and the install is refused with
     a [resource budget rejected] error when any axis exceeds the budget.
     The report of every successfully installed program is retained and
     available through {!resource_report} whether or not a budget was
@@ -152,7 +151,7 @@ type install_gate = Verifier.report -> Program.t -> gate_verdict
 (** An optional analysis pass run on every install path ({!install},
     {!install_asm}, {!install_bytes}, {!install_canary}) after the
     verifier and resource-budget checks succeed and before the program is
-    linked.  It sees the same {!Verifier.report} the JIT will specialize
+    linked.  It sees the same {!Verifier.report} the engines elide guards
     against — e.g. [Analysis.Lint.install_gate] flags dead stores,
     redundant guards and taint-laundering map reads at install time. *)
 
@@ -165,7 +164,7 @@ val find_program : t -> string -> Vm.t option
 
 val resource_report : t -> string -> Resource.t option
 (** Compile-time resource report of an installed program (recorded at
-    install time, post-specialization); [None] for unknown names. *)
+    install time); [None] for unknown names. *)
 
 val remove_program : t -> string -> bool
 val bind_tail_call : t -> caller:string -> slot:int -> callee:string -> (unit, string) result

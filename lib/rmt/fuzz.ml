@@ -415,17 +415,12 @@ let run ?(seed = 0x50FA) ~trials () =
         ref_run prog ~helpers ~maps:ref_maps ~store ~models ~rng_seed
           ~facts:ai.Absint.facts ~claims ~ctxt:ref_ctxt
       in
-      (* Lane 2: proof-eliding interpreter (proofs, no facts).
-         Lane 3: proof-specialized JIT (proofs + interval facts). *)
+      (* Lanes 2 and 3: the proof-eliding interpreter and JIT. *)
       let engine_out use_jit =
         let maps = fresh_maps () in
         let loaded =
-          if use_jit then
-            Loaded.link ~rng:(Kml.Rng.create rng_seed) ~proofs:report.Verifier.proof
-              ~facts:report.Verifier.facts ~store ~helpers ~maps ~models prog
-          else
-            Loaded.link ~rng:(Kml.Rng.create rng_seed) ~proofs:report.Verifier.proof ~store
-              ~helpers ~maps ~models prog
+          Loaded.link ~rng:(Kml.Rng.create rng_seed) ~proofs:report.Verifier.proof ~store
+            ~helpers ~maps ~models prog
         in
         let ctxt = Ctxt.of_list bindings in
         let now () = now_value in
@@ -463,8 +458,8 @@ let run ?(seed = 0x50FA) ~trials () =
       let batch_lane k =
         let maps = fresh_maps () in
         let loaded =
-          Loaded.link ~rng:(Kml.Rng.create rng_seed) ~proofs:report.Verifier.proof
-            ~facts:report.Verifier.facts ~store ~helpers ~maps ~models prog
+          Loaded.link ~rng:(Kml.Rng.create rng_seed) ~proofs:report.Verifier.proof ~store
+            ~helpers ~maps ~models prog
         in
         let vm = Vm.create ~engine:Vm.Jit_compiled loaded in
         let b = Batch.create ~capacity:k in
@@ -495,8 +490,8 @@ let run ?(seed = 0x50FA) ~trials () =
       let eligible =
         let maps = fresh_maps () in
         let loaded =
-          Loaded.link ~rng:(Kml.Rng.create rng_seed) ~proofs:report.Verifier.proof
-            ~facts:report.Verifier.facts ~store ~helpers ~maps ~models prog
+          Loaded.link ~rng:(Kml.Rng.create rng_seed) ~proofs:report.Verifier.proof ~store
+            ~helpers ~maps ~models prog
         in
         Jit.batch_eligible (Jit.compile loaded)
       in

@@ -25,7 +25,6 @@ type t = {
   ml_args : int array array;         (** feature scratch, one per model slot *)
   matmul_src : int array;            (** [Mat_mul] src-snapshot scratch (max const cols) *)
   proofs : Absint.Proof.t array;     (** per-pc verifier proofs; engines elide proven guards *)
-  facts : Absint.fact option array;  (** per-pc interval facts for JIT specialization; [[||]] = none *)
   mutable runs : int;
   mutable total_steps : int;
 }
@@ -38,7 +37,6 @@ type t = {
 val link :
   ?rng:Kml.Rng.t ->
   ?proofs:Absint.Proof.t array ->
-  ?facts:Absint.fact option array ->
   store:Model_store.t ->
   helpers:Helper.t ->
   maps:Map_store.t array ->
@@ -53,12 +51,7 @@ val link :
     [proofs] is the verifier report's per-pc proof array
     ({!Verifier.report}); when present (length must equal the code
     length), the engines skip runtime guards the analysis discharged.
-    Default: no proofs — every guard stays on, which is always safe.
-
-    [facts] is the report's per-pc interval-fact array; when present the
-    JIT additionally constant-folds, strength-reduces and prunes dead
-    branch arms against it ({!Specialize}).  Default: no facts — guard
-    elision only. *)
+    Default: no proofs — every guard stays on, which is always safe. *)
 
 val bind_tail_call : t -> slot:int -> t -> unit
 val name : t -> string

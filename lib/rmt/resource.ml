@@ -4,10 +4,6 @@ type t = {
   scratch_words : int;
   const_words : int;
   table_slots : int;
-  folded : int;
-  reduced : int;
-  dead_arms : int;
-  fast_reps : int;
   elided_guards : int;
 }
 
@@ -19,11 +15,6 @@ let default_budget =
     max_table_slots = 16 }
 
 let of_report (report : Verifier.report) (prog : Program.t) =
-  let spec =
-    if Array.length report.Verifier.facts = Array.length prog.Program.code then
-      Specialize.plan ~facts:report.Verifier.facts prog
-    else Specialize.identity prog
-  in
   let elided_guards =
     Array.fold_left
       (fun acc p ->
@@ -44,13 +35,7 @@ let of_report (report : Verifier.report) (prog : Program.t) =
       Array.length prog.Program.map_specs
       + Array.length prog.Program.model_arity
       + prog.Program.n_prog_slots;
-    folded = spec.Specialize.folded;
-    reduced = spec.Specialize.reduced;
-    dead_arms = spec.Specialize.dead_arms;
-    fast_reps = spec.Specialize.fast_reps;
     elided_guards }
-
-let specialized_sites t = t.folded + t.reduced + t.dead_arms + t.fast_reps
 
 let within t b =
   t.steps <= b.max_steps
@@ -75,15 +60,11 @@ let pp fmt t =
     \  scratch words      %d@,\
     \  constant words     %d@,\
     \  table slots        %d@,\
-    \  specialized sites  %d (%d folded, %d reduced, %d dead arms, %d fast reps)@,\
     \  elided guards      %d@]"
-    t.program t.steps t.scratch_words t.const_words t.table_slots (specialized_sites t)
-    t.folded t.reduced t.dead_arms t.fast_reps t.elided_guards
+    t.program t.steps t.scratch_words t.const_words t.table_slots t.elided_guards
 
 let to_json t =
   Printf.sprintf
     "{\"program\":%S,\"steps\":%d,\"scratch_words\":%d,\"const_words\":%d,\
-     \"table_slots\":%d,\"folded\":%d,\"reduced\":%d,\"dead_arms\":%d,\
-     \"fast_reps\":%d,\"specialized_sites\":%d,\"elided_guards\":%d}"
-    t.program t.steps t.scratch_words t.const_words t.table_slots t.folded t.reduced
-    t.dead_arms t.fast_reps (specialized_sites t) t.elided_guards
+     \"table_slots\":%d,\"elided_guards\":%d}"
+    t.program t.steps t.scratch_words t.const_words t.table_slots t.elided_guards

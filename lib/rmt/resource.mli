@@ -3,8 +3,8 @@
     When the verifier admits a program, everything that bounds its
     runtime footprint is already known statically: the worst-case dynamic
     step count, the scratchpad and constant-pool words it touches, the
-    kernel-object slots it will pin at link time, and — with interval
-    facts — exactly which sites the JIT will specialize.  [of_report]
+    kernel-object slots it will pin at link time, and how many runtime
+    guards the verifier's proofs let the engines drop.  [of_report]
     packages those numbers into one record per program, so operators can
     see what an install costs {e before} it serves traffic and CI can
     diff reports across revisions.
@@ -18,16 +18,10 @@
 
 type t = {
   program : string;
-  steps : int;          (** verifier worst-case dynamic instructions; exact
-                            for the specialized JIT too, since every
-                            {!Specialize} rewrite preserves step counts *)
+  steps : int;          (** verifier worst-case dynamic instructions *)
   scratch_words : int;  (** vector scratchpad words zeroed per invocation *)
   const_words : int;    (** total constant-pool words pinned at link time *)
   table_slots : int;    (** kernel-object slots: maps + models + tail calls *)
-  folded : int;         (** instructions folded to [Ld_imm] *)
-  reduced : int;        (** strength-reduced ALU sites *)
-  dead_arms : int;      (** branches compiled unconditional *)
-  fast_reps : int;      (** [Rep] loops iterating without early-exit checks *)
   elided_guards : int;  (** runtime guards discharged by verifier proofs *)
 }
 
@@ -37,12 +31,9 @@ val default_budget : budget
 (** Mirrors {!Verifier.default_limits} for steps and scratch; 16 slots. *)
 
 val of_report : Verifier.report -> Program.t -> t
-(** Derive the report for a verified program.  The specialization counts
-    come from {!Specialize.plan} on the report's interval facts, i.e.
-    they are exactly what {!Jit.compile} will do with this report. *)
-
-val specialized_sites : t -> int
-(** [folded + reduced + dead_arms + fast_reps]. *)
+(** Derive the report for a verified program.  [elided_guards] counts
+    the report's proofs that discharge a runtime guard, i.e. exactly the
+    sites {!Jit.compile} will compile unguarded. *)
 
 val within : t -> budget -> bool
 

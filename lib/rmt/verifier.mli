@@ -48,11 +48,9 @@ type report = {
           consult these to elide runtime bounds/taint guards on proven
           instructions (see {!Loaded.link}) *)
   facts : Absint.fact option array;
-      (** per-pc interval facts from the same analysis — the JIT
-          specializes code against these (constant folding, strength
-          reduction, dead-arm elimination; see {!Specialize}), and
-          {!Resource.of_report} derives the compile-time resource
-          report from them *)
+      (** per-pc interval and taint facts from the same analysis
+          ([None] = unreachable); the datapath lint (lib/analysis)
+          reads its rules off these *)
 }
 
 type violation =

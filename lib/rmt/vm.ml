@@ -78,7 +78,6 @@ let set_engine t e =
   | Interpreted -> ()
 
 let loaded t = t.loaded
-let elided_guard_sites t = t.elided_sites
 let traps t = t.traps
 
 let limiter_for t ~now =

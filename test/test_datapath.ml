@@ -431,12 +431,12 @@ let test_jit_unit_cache_by_uid () =
 
 let suite =
   [ ( "datapath",
-      [ QCheck_alcotest.to_alcotest prop_ctxt_matches_oracle;
+      [ Prop.to_alcotest prop_ctxt_matches_oracle;
         Alcotest.test_case "ctxt range across dense boundary" `Quick
           test_ctxt_range_across_boundary;
-        QCheck_alcotest.to_alcotest prop_table_index_matches_linear;
+        Prop.to_alcotest prop_table_index_matches_linear;
         Alcotest.test_case "table priority and ties" `Quick test_table_priority_and_ties;
-        QCheck_alcotest.to_alcotest prop_structured_differential;
+        Prop.to_alcotest prop_structured_differential;
         Alcotest.test_case "jit invoke is allocation-free" `Quick
           test_invoke_result_zero_alloc;
         Alcotest.test_case "table lookup is allocation-free" `Quick

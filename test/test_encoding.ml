@@ -127,4 +127,4 @@ let suite =
         Alcotest.test_case "corruption rejected" `Quick test_corruption_rejected;
         Alcotest.test_case "fuzz never raises" `Quick test_decode_never_raises_on_fuzz;
         Alcotest.test_case "install_bytes syscall" `Quick test_install_bytes;
-        QCheck_alcotest.to_alcotest prop_roundtrip_random ] ) ]
+        Prop.to_alcotest prop_roundtrip_random ] ) ]

@@ -130,8 +130,8 @@ let suite =
         Alcotest.test_case "sigmoid monotone bounded" `Quick test_sigmoid_monotone;
         Alcotest.test_case "exp approx" `Quick test_exp_approx;
         Alcotest.test_case "sqrt approx" `Quick test_sqrt_approx;
-        QCheck_alcotest.to_alcotest prop_add_commutative;
-        QCheck_alcotest.to_alcotest prop_mul_commutative;
-        QCheck_alcotest.to_alcotest prop_mul_close_to_float;
-        QCheck_alcotest.to_alcotest prop_neg_involutive;
-        QCheck_alcotest.to_alcotest prop_div_mul_inverse ] ) ]
+        Prop.to_alcotest prop_add_commutative;
+        Prop.to_alcotest prop_mul_commutative;
+        Prop.to_alcotest prop_mul_close_to_float;
+        Prop.to_alcotest prop_neg_involutive;
+        Prop.to_alcotest prop_div_mul_inverse ] ) ]

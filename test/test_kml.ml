@@ -281,7 +281,7 @@ let suite =
         Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
         Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
         Alcotest.test_case "split independent" `Quick test_rng_split_independent;
-        QCheck_alcotest.to_alcotest prop_split_substreams_independent ] );
+        Prop.to_alcotest prop_split_substreams_independent ] );
     ( "tensor",
       [ Alcotest.test_case "vec dot" `Quick test_vec_dot;
         Alcotest.test_case "vec axpy" `Quick test_vec_axpy;
@@ -305,4 +305,4 @@ let suite =
     ( "window",
       [ Alcotest.test_case "eviction" `Quick test_window_eviction;
         Alcotest.test_case "due/reset" `Quick test_window_due;
-        QCheck_alcotest.to_alcotest prop_window_never_exceeds_capacity ] ) ]
+        Prop.to_alcotest prop_window_never_exceeds_capacity ] ) ]

@@ -214,7 +214,7 @@ let suite =
   [ ( "event_queue",
       [ Alcotest.test_case "order" `Quick test_event_queue_order;
         Alcotest.test_case "fifo ties" `Quick test_event_queue_fifo_ties;
-        QCheck_alcotest.to_alcotest prop_event_queue_sorted ] );
+        Prop.to_alcotest prop_event_queue_sorted ] );
     ( "sim_clock",
       [ Alcotest.test_case "basics" `Quick test_clock ] );
     ( "swap_device",

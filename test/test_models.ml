@@ -311,7 +311,7 @@ let suite =
         Alcotest.test_case "nodes roundtrip" `Quick test_tree_nodes_roundtrip;
         Alcotest.test_case "of_nodes rejects cycles" `Quick test_tree_of_nodes_rejects_cycles;
         Alcotest.test_case "importance finds signal" `Quick test_tree_importance_finds_signal;
-        QCheck_alcotest.to_alcotest prop_tree_predict_total ] );
+        Prop.to_alcotest prop_tree_predict_total ] );
     ( "mlp",
       [ Alcotest.test_case "learns linear" `Quick test_mlp_learns_linear;
         Alcotest.test_case "learns xor" `Slow test_mlp_learns_xor;

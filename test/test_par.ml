@@ -123,8 +123,8 @@ let test_determinism_ablation_model_family () =
 
 let suite =
   [ ( "par",
-      [ QCheck_alcotest.to_alcotest prop_parallel_map_matches_seq;
-        QCheck_alcotest.to_alcotest prop_parallel_map_array_chunked;
+      [ Prop.to_alcotest prop_parallel_map_matches_seq;
+        Prop.to_alcotest prop_parallel_map_array_chunked;
         Alcotest.test_case "run_tasks order under stealing" `Quick test_run_tasks_order;
         Alcotest.test_case "empty and singleton batches" `Quick test_empty_and_singleton;
         Alcotest.test_case "exception propagation" `Quick test_exception_propagation;

@@ -356,7 +356,7 @@ let suite =
         Alcotest.test_case "runtime updates" `Quick test_table_runtime_updates;
         Alcotest.test_case "tie break" `Quick test_table_insertion_order_breaks_ties;
         Alcotest.test_case "arity check" `Quick test_table_arity_check;
-        QCheck_alcotest.to_alcotest prop_pattern_matches ] );
+        Prop.to_alcotest prop_pattern_matches ] );
     ( "pipeline",
       [ Alcotest.test_case "fire order" `Quick test_pipeline_fire_order ] );
     ( "control",

@@ -396,6 +396,67 @@ let prop_interp_equals_jit =
         in
         run Rmt.Vm.Interpreted = run Rmt.Vm.Jit_compiled)
 
+(* Programs the engines once disagreed on: [random_program] seeds 1618,
+   2227 and 2322, and a minimal case.  A JIT rewrite of [mul] by 2^k into
+   [shl k] shifted by k - 1 for odd k, because [Insn.eval_alu] masks
+   shift amounts with 62.  Each row is (name, code, context, result). *)
+let engine_regressions =
+  let open Rmt.Insn in
+  let prelude = List.init 8 (fun r -> Ld_imm (r, r)) in
+  [ ( "seed 1618",
+      prelude
+      @ [ Ld_ctxt_k (6, 6); Ld_ctxt_k (4, 3); Mov (3, 4); Jcond_imm (Eq, 2, 1, 2); Mov (3, 6);
+          Rep (1, 2); Mov (5, 4); Mov (1, 6); Alu (Mul, 1, 2); Alu (Add, 4, 1); Mov (0, 1);
+          Exit ],
+      [ (0, -39); (1, 27); (2, 10); (3, -13); (4, -22); (5, 38); (6, 49); (7, 49) ],
+      98 );
+    ( "seed 2227",
+      prelude
+      @ [ Ld_ctxt_k (5, 5); Rep (3, 3); Alu_imm (Min, 5, 10); Alu (Sub, 1, 5); Mov (4, 0);
+          Ld_ctxt_k (3, 7); Alu (Add, 1, 6); Alu (Sub, 5, 7); Alu (Mul, 1, 2); Mov (0, 1);
+          Exit ],
+      [ (0, 44); (1, 49); (2, 19); (3, -49); (4, 37); (5, 14); (6, 2); (7, 5) ],
+      -46 );
+    ( "seed 2322",
+      prelude
+      @ [ Mov (7, 2); Rep (5, 2); Jcond_imm (Ge, 1, 7, 1); Alu (Mul, 1, 2); Alu (Add, 2, 3);
+          Mov (0, 1); Exit ],
+      [ (0, 22); (1, 11); (2, -49); (3, -42); (4, -7); (5, 23); (6, -36); (7, 6) ],
+      8 );
+    ( "mul r1, r2 with r2 = 2",
+      [ Ld_ctxt_k (1, 0); Ld_imm (2, 2); Alu (Mul, 1, 2); Mov (0, 1); Exit ],
+      [ (0, 21) ],
+      42 ) ]
+
+let test_engine_regressions () =
+  List.iter
+    (fun (name, code, bindings, expected) ->
+      let program = prog name code in
+      let vm engine =
+        match Rmt.Control.install (Rmt.Control.create ~engine ()) program with
+        | Ok vm -> vm
+        | Error e -> Alcotest.failf "%s: install: %s" name e
+      in
+      (* (result, steps, ctxt keys 0..7) *)
+      let observe ctxt result steps = (result, steps, Rmt.Ctxt.get_range ctxt ~base:0 ~len:8) in
+      let scalar engine =
+        let ctxt = Rmt.Ctxt.of_list bindings in
+        let o = Rmt.Vm.invoke (vm engine) ~ctxt ~now:(fun () -> 0) in
+        observe ctxt o.Rmt.Interp.result o.Rmt.Interp.steps
+      in
+      let batched =
+        let b = Rmt.Batch.create ~capacity:1 in
+        b.Rmt.Batch.ctxts.(0) <- Rmt.Ctxt.of_list bindings;
+        Rmt.Vm.invoke_batch (vm Rmt.Vm.Jit_compiled) b ~now:(fun () -> 0);
+        observe b.Rmt.Batch.ctxts.(0) b.Rmt.Batch.results.(0) b.Rmt.Batch.steps.(0)
+      in
+      let ((result, _, _) as interp) = scalar Rmt.Vm.Interpreted in
+      let outcome = Alcotest.(triple int int (array int)) in
+      Alcotest.(check int) (name ^ ": interpreter result") expected result;
+      Alcotest.check outcome (name ^ ": jit = interpreter") interp (scalar Rmt.Vm.Jit_compiled);
+      Alcotest.check outcome (name ^ ": batch of 1 = interpreter") interp batched)
+    engine_regressions
+
 let prop_verified_programs_terminate =
   QCheck2.Test.make ~name:"verified programs stay within the step bound" ~count:300
     QCheck2.Gen.(int_range 0 1_000_000)
@@ -490,7 +551,7 @@ let suite =
         Alcotest.test_case "hash capacity" `Quick test_map_hash_capacity;
         Alcotest.test_case "lru eviction" `Quick test_map_lru_eviction;
         Alcotest.test_case "ring" `Quick test_map_ring;
-        QCheck_alcotest.to_alcotest prop_lru_never_exceeds_capacity ] );
+        Prop.to_alcotest prop_lru_never_exceeds_capacity ] );
     ( "verifier",
       [ Alcotest.test_case "rejections" `Quick test_verifier_rejects;
         Alcotest.test_case "privacy budget required" `Quick test_verifier_rejects_privacy;
@@ -508,10 +569,11 @@ let suite =
         Alcotest.test_case "vector ml isa" `Quick test_interp_vector_ml_isa;
         Alcotest.test_case "call_ml" `Quick test_interp_call_ml ] );
     ( "differential",
-      [ QCheck_alcotest.to_alcotest prop_interp_equals_jit;
-        QCheck_alcotest.to_alcotest prop_verified_programs_terminate ] );
+      [ Alcotest.test_case "engine regressions" `Quick test_engine_regressions;
+        Prop.to_alcotest prop_interp_equals_jit;
+        Prop.to_alcotest prop_verified_programs_terminate ] );
     ( "asm",
       [ Alcotest.test_case "parse and run" `Quick test_asm_parse_and_run;
         Alcotest.test_case "errors" `Quick test_asm_errors;
         Alcotest.test_case "roundtrip" `Quick test_asm_roundtrip;
-        QCheck_alcotest.to_alcotest prop_builder_programs_roundtrip ] ) ]
+        Prop.to_alcotest prop_builder_programs_roundtrip ] ) ]
