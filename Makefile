@@ -61,8 +61,9 @@ bench-throughput:
 	dune exec bench/main.exe -- throughput
 
 # Fast static-analysis smoke (~2s): a short differential-fuzz run of the
-# abstract interpreter — proof-eliding engines vs an always-guarded
-# reference.  The full 5000-program run lives in the test suite.
+# abstract interpreter — interpreter, JIT and batch engines vs an
+# always-guarded reference.  The full 5000-program run lives in the test
+# suite.
 lint:
 	dune exec bin/rkdctl.exe -- absint-fuzz --trials 1500
 

@@ -152,8 +152,8 @@ let resources_cmd =
              ~doc:"Also write the reports as JSON lines to FILE (CI artifact).")
   in
   let doc =
-    "print compile-time resource reports (steps, scratch, table slots, elided guards) \
-     for the example prefetch programs"
+    "print compile-time resource reports (steps, scratch, table slots) for the example \
+     prefetch programs"
   in
   Cmd.v (Cmd.info "resources" ~doc) Term.(const run $ json_arg)
 
@@ -386,8 +386,8 @@ let absint_fuzz_cmd =
     Arg.(value & opt int 0x50FA & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Generator seed.")
   in
   let doc =
-    "differentially fuzz the abstract interpreter (proof-eliding engines vs an \
-     always-guarded reference)"
+    "differentially fuzz the abstract interpreter (interpreter, JIT and batch engines vs \
+     an always-guarded reference)"
   in
   Cmd.v (Cmd.info "absint-fuzz" ~doc) Term.(const run $ trials_arg $ seed_arg)
 
@@ -467,6 +467,27 @@ let chaos_cmd =
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(const run $ scenarios_arg $ events_arg $ seed_arg $ domains_arg $ snapshot_arg)
 
+(* Determinism witness shared by [net], [fleet] and [serve --soak]: rerun
+   the experiment at each pool width in [widths], print one verdict line
+   per rerun ([print width rerun same], where [same] compares the rerun
+   with the first run), then restore the pool width.  Returns whether
+   every rerun matched, and the reruns. *)
+let replay ~widths ~rerun ~same ~print =
+  let width = Par.global_domains () in
+  let set w = if Par.global_domains () <> w then Par.set_global_domains w in
+  let reruns =
+    List.map
+      (fun w ->
+        set w;
+        let r = rerun () in
+        let s = same r in
+        print w r s;
+        (r, s))
+      widths
+  in
+  set width;
+  (List.for_all snd reruns, List.map fst reruns)
+
 let net_cmd =
   let run json_path domains seed learned baseline =
     (match domains with Some n -> Par.set_global_domains n | None -> ());
@@ -488,14 +509,17 @@ let net_cmd =
        pool width; the digests must be bit-identical (including any
        RKD_FAULTS plan, which table3 re-arms per task). *)
     let width = Par.global_domains () in
-    let alt_width = if width = 1 then 4 else 1 in
-    Par.set_global_domains alt_width;
-    let alt_digest = Rkd.Experiment.table3_digest (Rkd.Experiment.table3 ~seed ~systems ()) in
-    Par.set_global_domains width;
-    let deterministic = digest = alt_digest in
-    Format.printf "net digest %016x (domains=%d) / %016x (domains=%d): %s@." digest width
-      alt_digest alt_width
-      (if deterministic then "identical" else "DIVERGED");
+    let deterministic, alt_digests =
+      replay
+        ~widths:[ (if width = 1 then 4 else 1) ]
+        ~rerun:(fun () -> Rkd.Experiment.table3_digest (Rkd.Experiment.table3 ~seed ~systems ()))
+        ~same:(fun alt_digest -> alt_digest = digest)
+        ~print:(fun alt_width alt_digest same ->
+          Format.printf "net digest %016x (domains=%d) / %016x (domains=%d): %s@." digest width
+            alt_digest alt_width
+            (if same then "identical" else "DIVERGED"))
+    in
+    let alt_digest = List.hd alt_digests in
     Format.printf "[net] elapsed %.2f s (domains=%d)@." (Unix.gettimeofday () -. t0) width;
     (match json_path with
      | None -> ()
@@ -659,11 +683,17 @@ let serve_cmd =
       (if reclosed then "re-closed" else "STUCK OPEN");
     let ok = ref (served >= expected && reclosed) in
     if soak then begin
-      let served2, digest2, reclosed2, _ = run_once ~pinned:false in
-      let same = digest2 = digest && served2 = served in
-      Format.printf "  soak replay: digest %016x %s@." digest2
-        (if same then "bit-identical" else "MISMATCH");
-      if (not same) || not reclosed2 then ok := false
+      let same, reruns =
+        replay
+          ~widths:[ Par.global_domains () ]
+          ~rerun:(fun () -> run_once ~pinned:false)
+          ~same:(fun (served2, digest2, _, _) -> digest2 = digest && served2 = served)
+          ~print:(fun _ (_, digest2, _, _) same ->
+            Format.printf "  soak replay: digest %016x %s@." digest2
+              (if same then "bit-identical" else "MISMATCH"))
+      in
+      if (not same) || List.exists (fun (_, _, reclosed2, _) -> not reclosed2) reruns then
+        ok := false
     end;
     if !ok then 0 else 1
   in
@@ -710,12 +740,9 @@ let fleet_cmd =
     (match domains with Some n -> Par.set_global_domains n | None -> ());
     let faulted = Sys.getenv_opt "RKD_FAULTS" <> None in
     let t0 = Unix.gettimeofday () in
-    let run_at width =
-      Par.set_global_domains width;
-      Rkd.Experiment.fleet_soak ~seed ~storm ~ticks ()
-    in
     let width = Par.global_domains () in
-    let r = run_at width in
+    Par.set_global_domains width;
+    let r = Rkd.Experiment.fleet_soak ~seed ~storm ~ticks () in
     Rkd.Report.print_fleet Format.std_formatter r;
     let checks = Rkd.Report.fleet_checks ~faulted r in
     List.iter
@@ -724,21 +751,18 @@ let fleet_cmd =
     (* Determinism witness: replay the identical soak at other pool
        widths; the fleet digest must be bit-identical (including any
        RKD_FAULTS plan, which the fleet re-arms per shard task). *)
-    let alt_widths =
-      if soak then List.filter (fun w -> w <> width) [ 1; 4; 8 ]
-      else [ (if width = 1 then 4 else 1) ]
+    let deterministic, _ =
+      replay
+        ~widths:
+          (if soak then List.filter (fun w -> w <> width) [ 1; 4; 8 ]
+           else [ (if width = 1 then 4 else 1) ])
+        ~rerun:(fun () -> Rkd.Experiment.fleet_soak ~seed ~storm ~ticks ())
+        ~same:(fun rw -> rw.Rkd.Fleet.digest = r.Rkd.Fleet.digest)
+        ~print:(fun w rw same ->
+          Format.printf "fleet digest %016x (domains=%d) vs %016x (domains=%d): %s@."
+            r.Rkd.Fleet.digest width rw.Rkd.Fleet.digest w
+            (if same then "identical" else "DIVERGED"))
     in
-    let deterministic = ref true in
-    List.iter
-      (fun w ->
-        let rw = run_at w in
-        let same = rw.Rkd.Fleet.digest = r.Rkd.Fleet.digest in
-        if not same then deterministic := false;
-        Format.printf "fleet digest %016x (domains=%d) vs %016x (domains=%d): %s@."
-          r.Rkd.Fleet.digest width rw.Rkd.Fleet.digest w
-          (if same then "identical" else "DIVERGED"))
-      alt_widths;
-    Par.set_global_domains width;
     Format.printf "[fleet] elapsed %.2f s (domains=%d)@." (Unix.gettimeofday () -. t0) width;
     let checks_failed = List.length (List.filter (fun (_, ok) -> not ok) checks) in
     (match json_path with
@@ -748,11 +772,11 @@ let fleet_cmd =
          Printf.sprintf
            "{\"schema\":\"rkd-fleet-summary/1\",\"seed\":%d,\"storm\":%b,\"faulted\":%b,\
             \"digest\":\"%016x\",\"deterministic\":%b,\"checks_failed\":%d}"
-           seed storm faulted r.Rkd.Fleet.digest !deterministic checks_failed
+           seed storm faulted r.Rkd.Fleet.digest deterministic checks_failed
        in
        write_json_lines path [ Rkd.Fleet.report_json r; summary ];
        Format.printf "wrote fleet report to %s@." path);
-    if !deterministic && checks_failed = 0 then 0 else 1
+    if deterministic && checks_failed = 0 then 0 else 1
   in
   let json_arg =
     Arg.(value & opt (some string) None
@@ -941,8 +965,8 @@ let trace_cmd =
       Obs.Trace.unfreeze ();
       Format.printf "flight recorder: capacity=%d emitted=%d dropped=%d@."
         (Obs.Trace.capacity ()) (Obs.Trace.emitted ()) (Obs.Trace.dropped ());
-      Format.printf "  %6s %-14s %5s %-7s %6s %6s %10s %s@." "seq" "hook" "uid" "engine"
-        "steps" "elided" "result" "flags";
+      Format.printf "  %6s %-14s %5s %-7s %6s %10s %s@." "seq" "hook" "uid" "engine"
+        "steps" "result" "flags";
       List.iter
         (fun (e : Obs.Trace.event) ->
           let flags =
@@ -953,11 +977,11 @@ let trace_cmd =
                    (Obs.Trace.flag_guardrail, "guardrail");
                    (Obs.Trace.flag_privacy_denied, "privacy-denied") ])
           in
-          Format.printf "  %6d %-14s %5d %-7s %6d %6d %10d %s@." e.Obs.Trace.seq
+          Format.printf "  %6d %-14s %5d %-7s %6d %10d %s@." e.Obs.Trace.seq
             (if e.Obs.Trace.hook < 0 then "-" else Obs.intern_name e.Obs.Trace.hook)
             e.Obs.Trace.uid
             (if e.Obs.Trace.engine = 1 then "jit" else "interp")
-            e.Obs.Trace.steps e.Obs.Trace.elided e.Obs.Trace.result
+            e.Obs.Trace.steps e.Obs.Trace.result
             (if flags = "" then "-" else flags))
         events;
       0

@@ -19,7 +19,7 @@
       already re-checks dynamically: a zero guard over [Div]/[Mod] by
       the guarded register ({!Rmt.Insn.eval_alu} is total: division by
       zero yields 0) and a negative-key guard over a dynamic context
-      access (the engines' own key guard, elided only under proof);
+      access (the engines' own key guard already skips negative keys);
     - {b unclean-map-read} (deny severity) — a map slot is read back
       after a possibly context-tainted value is written into it: the
       taint analysis treats map contents as already-exported (clean), so
@@ -68,7 +68,6 @@ val resource_waste :
     {!Rmt.Resource} report against a budget — the Homunculus-style
     waste summary [rkdctl analyze] prints and exports. *)
 
-val severity_name : severity -> string
 val pp_finding : Format.formatter -> finding -> unit
 
 val findings_to_json : program:string -> finding list -> string

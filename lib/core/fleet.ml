@@ -273,7 +273,6 @@ type t = {
 }
 
 let params t = t.params
-let ticks_run t = t.ticks
 
 (* --- workload: per-tenant concepts with scheduled drift -------------- *)
 

@@ -148,7 +148,6 @@ val tick : ?pool:Par.pool -> t -> unit
     then run the sequential control step (accuracy merge, drift
     detection, episode state machines). *)
 
-val ticks_run : t -> int
 val digest : t -> int
 (** Order- and width-independent fold of every (shard, tenant) decision
     stream plus the control-plane event stream. *)

@@ -33,9 +33,6 @@ val n_features : int
 val oracle : rtt_ratio_pct:int -> ecn:bool -> loss:bool -> int
 (** The hindsight labelling rule (exposed for tests). *)
 
-val apply_action : params -> cwnd:int -> int -> int
-(** Next cwnd for an action class, clamped to [2, cwnd_cap]. *)
-
 val fallback_marker : int
 (** Negative marker the breaker fallback returns; the program is Guarded
     to [0, n_actions) so it cannot collide with a real action. *)

@@ -98,8 +98,6 @@ let feature_column t j =
   if j < 0 || j >= t.n_features then invalid_arg "Dataset.feature_column: column out of range";
   Array.init t.len (fun i -> t.samples.(i).features.(j))
 
-let float_features s = Array.map float_of_int s.features
-
 let pp_summary fmt t =
   Format.fprintf fmt "dataset: %d samples, %d features, %d classes, counts=[%s]" t.len
     t.n_features t.n_classes

@@ -36,5 +36,4 @@ val project : t -> keep:int array -> t
 (** Keep only the feature columns listed in [keep] (in that order). *)
 
 val feature_column : t -> int -> int array
-val float_features : sample -> Tensor.Vec.t
 val pp_summary : Format.formatter -> t -> unit

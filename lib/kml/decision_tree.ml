@@ -240,16 +240,7 @@ let predict_batch t ~features ~n ~out =
     out.(s) <- t.s_label.(!i)
   done
 
-let predict_dist t features =
-  check_arity t features;
-  match t.nodes.(walk_flat t features) with
-  | Leaf { counts; _ } -> Array.copy counts
-  | Split _ -> assert false
-
 let n_nodes t = Array.length t.nodes
-
-let n_leaves t =
-  Array.fold_left (fun acc n -> match n with Leaf _ -> acc + 1 | Split _ -> acc) 0 t.nodes
 
 let depth t =
   let rec go i =

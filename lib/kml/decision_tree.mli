@@ -10,12 +10,10 @@ type t
 type params = {
   max_depth : int;       (** maximum tree depth; 1 = a single split *)
   min_samples_split : int; (** do not split nodes smaller than this *)
-  min_gain : int;        (** minimum Gini gain, scaled by [gini_scale] *)
+  min_gain : int;        (** minimum Gini gain, scaled by 2^20 *)
 }
 
 val default_params : params
-val gini_scale : int
-(** Gini impurities are integers scaled by this factor (2^20). *)
 
 val train : ?params:params -> Dataset.t -> t
 (** Trains on the dataset.  An empty dataset yields a tree that always
@@ -34,11 +32,7 @@ val predict_batch : t -> features:int array -> n:int -> out:int array -> unit
     [out.(s)].  One flat-layout walk per slot, no per-slot feature copy,
     no allocation. *)
 
-val predict_dist : t -> int array -> int array
-(** Training-set class counts at the reached leaf. *)
-
 val n_nodes : t -> int
-val n_leaves : t -> int
 val depth : t -> int
 val n_features : t -> int
 val n_classes : t -> int

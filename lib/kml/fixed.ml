@@ -4,7 +4,6 @@ let frac_bits = 16
 let scale = 1 lsl frac_bits
 let one = scale
 let zero = 0
-let minus_one = -scale
 
 (* Saturation bounds: keep products of two in-range values representable in
    the 63-bit native int.  23 integer bits is ample for every feature and

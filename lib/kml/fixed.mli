@@ -13,7 +13,6 @@ val frac_bits : int
 
 val one : t
 val zero : t
-val minus_one : t
 
 val of_int : int -> t
 (** [of_int n] is the fixed-point value [n.0].  Saturates on overflow. *)

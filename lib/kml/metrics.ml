@@ -10,11 +10,6 @@ let confusion_add c ~truth ~predicted =
   let idx = (truth * c.n) + predicted in
   c.cells.(idx) <- c.cells.(idx) + 1
 
-let confusion_get c ~truth ~predicted =
-  if truth < 0 || truth >= c.n || predicted < 0 || predicted >= c.n then
-    invalid_arg "Metrics.confusion_get: class out of range";
-  c.cells.((truth * c.n) + predicted)
-
 let confusion_total c = Array.fold_left ( + ) 0 c.cells
 
 let accuracy c =
@@ -70,18 +65,3 @@ let evaluate ~predict ds =
   c
 
 let accuracy_of ~predict ds = accuracy (evaluate ~predict ds)
-
-let mean_absolute_error pairs =
-  match pairs with
-  | [] -> 0.0
-  | _ ->
-    let total = List.fold_left (fun acc (a, b) -> acc +. Float.abs (a -. b)) 0.0 pairs in
-    total /. float_of_int (List.length pairs)
-
-let pp_confusion fmt c =
-  for i = 0 to c.n - 1 do
-    for j = 0 to c.n - 1 do
-      Format.fprintf fmt "%6d " c.cells.((i * c.n) + j)
-    done;
-    Format.pp_print_newline fmt ()
-  done

@@ -6,8 +6,6 @@ type confusion
 
 val confusion_create : n_classes:int -> confusion
 val confusion_add : confusion -> truth:int -> predicted:int -> unit
-val confusion_get : confusion -> truth:int -> predicted:int -> int
-val confusion_total : confusion -> int
 val accuracy : confusion -> float
 (** Fraction of correct predictions; 0 on an empty matrix. *)
 
@@ -20,5 +18,3 @@ val evaluate : predict:(int array -> int) -> Dataset.t -> confusion
 (** Run [predict] over every sample and tally the confusion matrix. *)
 
 val accuracy_of : predict:(int array -> int) -> Dataset.t -> float
-val mean_absolute_error : (float * float) list -> float
-val pp_confusion : Format.formatter -> confusion -> unit

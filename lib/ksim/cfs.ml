@@ -34,7 +34,6 @@ type t = {
   sleepers : Task.t Event_queue.t;
   mutable unfinished : int;
   mutable migrations : int;
-  mutable balance_rounds : int;
   (* Migration penalty: extra work added to a migrated task, modelling cold
      caches after the move. *)
   mutable migration_penalty_ns : int;
@@ -57,7 +56,6 @@ let create ?(params = default_params) ?(decider = heuristic_decider) ?(record_ev
       sleepers = Event_queue.create ();
       unfinished = List.length task_list;
       migrations = 0;
-      balance_rounds = 0;
       migration_penalty_ns = 0;
       all_tasks = task_list }
   in
@@ -169,7 +167,6 @@ let busiest_and_idlest t =
   (!busiest, !idlest)
 
 let balance t =
-  t.balance_rounds <- t.balance_rounds + 1;
   let src, dst = busiest_and_idlest t in
   if src <> dst then begin
     let imbalance () = cpu_load t src - cpu_load t dst in
@@ -238,6 +235,5 @@ let run ?(max_ns = 600_000_000_000) t =
 
 let events t = List.rev t.events
 let migrations t = t.migrations
-let balance_rounds t = t.balance_rounds
 
 let tasks t = t.all_tasks

@@ -45,5 +45,4 @@ val events : t -> event list
 (** Migration-decision log, oldest first. *)
 
 val migrations : t -> int
-val balance_rounds : t -> int
 val tasks : t -> Task.t list

@@ -23,8 +23,6 @@ type inputs = {
 }
 
 val extract : inputs -> int array
-val cache_hot_threshold_ns : int
-(** 500 µs, matching the kernel's sysctl_sched_migration_cost default. *)
 
 val heuristic : inputs -> bool
 (** The reference CFS-style [can_migrate_task] decision: refuse when the

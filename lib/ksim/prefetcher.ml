@@ -12,14 +12,3 @@ let next_n ~depth =
   { name = Printf.sprintf "next%d" depth;
     on_access = (fun ~pid:_ ~page ~hit:_ ~now:_ -> List.init depth (fun i -> page + i + 1));
     reset = ignore }
-
-let with_failover ~primary ~fallback ~degraded =
-  { name = primary.name ^ "+" ^ fallback.name;
-    on_access =
-      (fun ~pid ~page ~hit ~now ->
-        if degraded () then fallback.on_access ~pid ~page ~hit ~now
-        else primary.on_access ~pid ~page ~hit ~now);
-    reset =
-      (fun () ->
-        primary.reset ();
-        fallback.reset ()) }

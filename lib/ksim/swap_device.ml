@@ -19,7 +19,6 @@ let read t ~now =
   t.busy_ns <- t.busy_ns + t.service_time_ns;
   done_at
 
-let busy_until t = t.busy_until
 let reads_issued t = t.reads
 let busy_ns t = t.busy_ns
 

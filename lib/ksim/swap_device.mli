@@ -17,7 +17,6 @@ val service_time_ns : t -> int
 val read : t -> now:int -> int
 (** Enqueue one page read issued at [now]; returns its completion time. *)
 
-val busy_until : t -> int
 val reads_issued : t -> int
 val busy_ns : t -> int
 (** Total time the device has spent (or is committed to spend) servicing. *)

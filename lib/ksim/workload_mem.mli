@@ -35,7 +35,6 @@ type video_params = {
   noise_pct : int;    (** percentage of groups followed by a random heap access *)
 }
 
-val default_video : video_params
 val video_resize :
   ?params:video_params -> ?rng:Kml.Rng.t -> pid:int -> unit -> access list
 
@@ -50,7 +49,6 @@ type conv_params = {
   checkpoint_run : int;   (** pages per checkpoint flush *)
 }
 
-val default_conv : conv_params
 val matrix_conv : ?params:conv_params -> pid:int -> unit -> access list
 
 val concat : access list list -> access list

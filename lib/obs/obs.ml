@@ -249,7 +249,6 @@ module Trace = struct
     uid : int;
     engine : int;
     steps : int;
-    elided : int;
     result : int;
     flags : int;
   }
@@ -260,7 +259,7 @@ module Trace = struct
 
   (* Event slots are 8 ints wide (one cache line) in one flat array:
      claiming a slot is a single fetch-and-add on [head], writing it is
-     eight plain stores.  The slot count is a power of two so the mask
+     seven plain stores (word 5 is unused).  The slot count is a power of two so the mask
      can be derived from the array length, keeping the data pointer and
      the mask consistent even across [configure]. *)
   let slot_words = 8
@@ -294,7 +293,7 @@ module Trace = struct
 
   let capacity () = Array.length !ring.data / slot_words
 
-  let emit ~hook ~uid ~engine ~steps ~elided ~result ~flags =
+  let emit ~hook ~uid ~engine ~steps ~result ~flags =
     if !enabled_flag then begin
       let r = !ring in
       if r.frozen then ignore (Atomic.fetch_and_add r.drops 1)
@@ -309,7 +308,6 @@ module Trace = struct
         Array.unsafe_set d (base + 2) uid;
         Array.unsafe_set d (base + 3) engine;
         Array.unsafe_set d (base + 4) steps;
-        Array.unsafe_set d (base + 5) elided;
         Array.unsafe_set d (base + 6) result;
         Array.unsafe_set d (base + 7) flags;
         Array.unsafe_set d base seq
@@ -340,7 +338,6 @@ module Trace = struct
               uid = d.(base + 2);
               engine = d.(base + 3);
               steps = d.(base + 4);
-              elided = d.(base + 5);
               result = d.(base + 6);
               flags = d.(base + 7) }
             :: acc

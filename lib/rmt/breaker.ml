@@ -65,7 +65,6 @@ let retry_at t = t.retry_at
 let opens t = t.opens
 let closes t = t.closes
 let transitions t = t.transitions
-let consecutive_failures t = t.consecutive_failures
 
 (* Saturating exponential backoff: base * 2^(open_streak - 1), capped. *)
 let backoff_ns t =

@@ -58,4 +58,3 @@ val retry_at : t -> int
 val opens : t -> int
 val closes : t -> int
 val transitions : t -> int
-val consecutive_failures : t -> int

@@ -3,7 +3,6 @@ type label = int
 type pending =
   | Fixed of Insn.t
   | Jmp_to of label
-  | Jcond_to of Insn.cond * Insn.reg * Insn.reg * label
   | Jcond_imm_to of Insn.cond * Insn.reg * int * label
 
 type t = {
@@ -14,7 +13,6 @@ type t = {
   mutable next_label : int;
   placements : (label, int) Hashtbl.t;
   mutable consts : Program.const list; (* reversed *)
-  mutable map_specs : Map_store.spec list; (* reversed *)
   mutable model_arity : int list; (* reversed *)
   mutable n_prog_slots : int;
   mutable capabilities : Program.capability list;
@@ -28,7 +26,6 @@ let create ~name ?(vmem_size = 64) () =
     next_label = 0;
     placements = Hashtbl.create 16;
     consts = [];
-    map_specs = [];
     model_arity = [];
     n_prog_slots = 0;
     capabilities = [] }
@@ -49,16 +46,11 @@ let push t p =
 let emit t insn = push t (Fixed insn)
 let jump t ~target = push t (Jmp_to target)
 let jump_if t cond ~reg ~imm ~target = push t (Jcond_imm_to (cond, reg, imm, target))
-let jump_if_reg t cond ~ra ~rb ~target = push t (Jcond_to (cond, ra, rb, target))
 let here t = t.len
 
 let add_const t c =
   t.consts <- c :: t.consts;
   List.length t.consts - 1
-
-let add_map t spec =
-  t.map_specs <- spec :: t.map_specs;
-  List.length t.map_specs - 1
 
 let add_model t ~n_features =
   t.model_arity <- n_features :: t.model_arity;
@@ -85,10 +77,9 @@ let finish t () =
         match pending with
         | Fixed insn -> insn
         | Jmp_to l -> Insn.Jmp (resolve pc l)
-        | Jcond_to (c, ra, rb, l) -> Insn.Jcond (c, ra, rb, resolve pc l)
         | Jcond_imm_to (c, ra, imm, l) -> Insn.Jcond_imm (c, ra, imm, resolve pc l))
       (List.rev t.code)
   in
   Program.make ~name:t.name ~vmem_size:t.vmem_size ~consts:(List.rev t.consts)
-    ~map_specs:(List.rev t.map_specs) ~model_arity:(List.rev t.model_arity)
+    ~model_arity:(List.rev t.model_arity)
     ~n_prog_slots:t.n_prog_slots ~capabilities:(List.rev t.capabilities) code

@@ -151,8 +151,8 @@ type install_gate = Verifier.report -> Program.t -> gate_verdict
 (** An optional analysis pass run on every install path ({!install},
     {!install_asm}, {!install_bytes}, {!install_canary}) after the
     verifier and resource-budget checks succeed and before the program is
-    linked.  It sees the same {!Verifier.report} the engines elide guards
-    against — e.g. [Analysis.Lint.install_gate] flags dead stores,
+    linked.  It sees the install's {!Verifier.report} (per-pc facts
+    included) — e.g. [Analysis.Lint.install_gate] flags dead stores,
     redundant guards and taint-laundering map reads at install time. *)
 
 val set_install_gate : t -> install_gate option -> unit

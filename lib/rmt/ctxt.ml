@@ -114,18 +114,6 @@ let get t key =
 
 let dense_bound = dense_size
 
-(* Unchecked dense accessors for engine fast paths.  Callers hold a static
-   in-bounds proof from the verifier's abstract interpreter; observable
-   behavior (values, presence map, read counter) must match [get]/[set]
-   exactly so elision never changes program results. *)
-let unsafe_get_dense t key =
-  t.reads <- t.reads + 1;
-  Array.unsafe_get t.dense key
-
-let unsafe_set_dense t key value =
-  Array.unsafe_set t.dense key value;
-  Bytes.unsafe_set t.dense_present key '\001'
-
 let mem t key =
   if key >= 0 && key < dense_size then Bytes.unsafe_get t.dense_present key <> '\000'
   else if key < 0 then false

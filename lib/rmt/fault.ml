@@ -37,7 +37,6 @@ let point_of_name s = List.find_opt (fun p -> point_name p = s) all_points
    them directly; exported to snapshots through registry views below. *)
 let injections = Array.init n_points (fun _ -> Atomic.make 0)
 let injected p = Atomic.get injections.(index p)
-let total_injected () = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 injections
 
 let () =
   List.iter
@@ -80,10 +79,6 @@ let make_plan ?(seed = 0xfa017) points =
 
 let set_global ?seed points =
   Mutex.protect global_mutex (fun () -> global_plan := Some (make_plan ?seed points));
-  recompute_armed ()
-
-let clear_global () =
-  Mutex.protect global_mutex (fun () -> global_plan := None);
   recompute_armed ()
 
 let suppress_default () =

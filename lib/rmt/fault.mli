@@ -48,8 +48,6 @@ val set_global : ?seed:int -> (point * float) list -> unit
 (** Install the process-global plan (replacing any previous one).
     Probabilities are clamped to [0, 1]. *)
 
-val clear_global : unit -> unit
-
 val suppress_default : unit -> unit
 (** Ignore the global ([RKD_FAULTS]) plan outside explicit {!with_plan}
     scopes.  Test binaries call this once at startup so ambient fault
@@ -91,8 +89,6 @@ val with_capture : capture -> (unit -> 'a) -> 'a
 
 val injected : point -> int
 (** Process-total injections at this point (all plans). *)
-
-val total_injected : unit -> int
 
 val parse_spec : string -> ((point * float) list, string) result
 (** Parse an [RKD_FAULTS]-style spec: comma-separated [point:prob] pairs,

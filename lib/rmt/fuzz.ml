@@ -3,9 +3,9 @@
 
    The reference interpreter here deliberately duplicates Interp's
    semantics instead of reusing it: it keeps every runtime guard on and is
-   written independently, so a proof-elision bug in any engine (or an
-   unsound interval) shows up as a four-way disagreement rather than two
-   copies of the same mistake agreeing with each other. *)
+   written independently, so an engine bug (or an unsound interval) shows
+   up as a four-way disagreement rather than two copies of the same
+   mistake agreeing with each other. *)
 
 type stats = {
   trials : int;
@@ -72,18 +72,18 @@ let gen_program rng =
     match ri 8 with
     | 0 -> [ Ld_ctxt_k (dreg (), ri 200) ]
     | 1 -> [ St_ctxt (ri 200, sreg ()) ]
-    (* masked dense: provable *)
+    (* masked into the dense range: strict mode accepts the key *)
     | 2 ->
       let rk = dreg () in
       [ Alu_imm (And, rk, 63); Ld_ctxt (dreg (), rk) ]
     | 3 ->
       let rk = dreg () in
       [ Alu_imm (And, rk, 63); St_ctxt_r (rk, sreg ()) ]
-    (* masked non-negative but sparse-range: nonneg proof only *)
+    (* masked non-negative but beyond the dense range *)
     | 4 ->
       let rk = dreg () in
       [ Alu_imm (And, rk, 1023); St_ctxt_r (rk, sreg ()) ]
-    (* unmasked: the runtime negative-key guard must stay *)
+    (* unmasked: only the runtime negative-key guard catches a bad key *)
     | 5 -> [ St_ctxt_r (sreg (), sreg ()) ]
     | 6 -> [ Ld_ctxt (dreg (), sreg ()) ]
     | _ -> [ Vec_ld_ctxt (ri 4, ri 140, 1 + ri 4) ]
@@ -405,9 +405,8 @@ let run ?(seed = 0x50FA) ~trials () =
             (Kml.Rng.int rng 200, Kml.Rng.int rng 400 - 100))
       in
       let rng_seed = Kml.Rng.int rng 1_000_000 in
-      (* Reference first: it validates the interval claims that justify the
-         engines' unchecked accesses, so an unsound proof fails here before
-         an elided engine ever acts on it. *)
+      (* Reference first: it validates the reachability and interval claims
+         the verifier admits programs on. *)
       let fresh_maps () = Array.of_list (List.map Map_store.create map_specs) in
       let ref_maps = fresh_maps () in
       let ref_ctxt = Ctxt.of_list bindings in
@@ -415,12 +414,11 @@ let run ?(seed = 0x50FA) ~trials () =
         ref_run prog ~helpers ~maps:ref_maps ~store ~models ~rng_seed
           ~facts:ai.Absint.facts ~claims ~ctxt:ref_ctxt
       in
-      (* Lanes 2 and 3: the proof-eliding interpreter and JIT. *)
+      (* Lanes 2 and 3: the interpreter and JIT. *)
       let engine_out use_jit =
         let maps = fresh_maps () in
         let loaded =
-          Loaded.link ~rng:(Kml.Rng.create rng_seed) ~proofs:report.Verifier.proof ~store
-            ~helpers ~maps ~models prog
+          Loaded.link ~rng:(Kml.Rng.create rng_seed) ~store ~helpers ~maps ~models prog
         in
         let ctxt = Ctxt.of_list bindings in
         let now () = now_value in
@@ -458,8 +456,7 @@ let run ?(seed = 0x50FA) ~trials () =
       let batch_lane k =
         let maps = fresh_maps () in
         let loaded =
-          Loaded.link ~rng:(Kml.Rng.create rng_seed) ~proofs:report.Verifier.proof ~store
-            ~helpers ~maps ~models prog
+          Loaded.link ~rng:(Kml.Rng.create rng_seed) ~store ~helpers ~maps ~models prog
         in
         let vm = Vm.create ~engine:Vm.Jit_compiled loaded in
         let b = Batch.create ~capacity:k in
@@ -490,8 +487,7 @@ let run ?(seed = 0x50FA) ~trials () =
       let eligible =
         let maps = fresh_maps () in
         let loaded =
-          Loaded.link ~rng:(Kml.Rng.create rng_seed) ~proofs:report.Verifier.proof ~store
-            ~helpers ~maps ~models prog
+          Loaded.link ~rng:(Kml.Rng.create rng_seed) ~store ~helpers ~maps ~models prog
         in
         Jit.batch_eligible (Jit.compile loaded)
       in

@@ -1,13 +1,10 @@
-(** Soundness fuzzer for {!Absint}, the proof-eliding engines and the
-    batch path.
+(** Soundness fuzzer for {!Absint}, the engines and the batch path.
 
     Generates random (mostly verifier-acceptable) programs and, for each
     accepted one, runs four executions on identical inputs:
 
-    + {!Interp} on a {!Loaded} instance carrying the verifier's proof
-      array (guards elided where proven);
-    + {!Jit} on an instance carrying the same proof array (guards
-      compiled out where proven);
+    + {!Interp};
+    + {!Jit};
     + {!Vm.invoke_batch}: a batch of 1 for every program (exercising the
       per-slot fallback on non-batchable programs), plus a batch of 3
       identical slots on SoA-eligible programs, each slot checked

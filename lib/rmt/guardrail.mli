@@ -9,14 +9,11 @@
 type t
 
 val create : lo:int -> hi:int -> t
-(** Raises [Invalid_argument] when [lo > hi].  Window size
-    {!default_window}. *)
+(** Raises [Invalid_argument] when [lo > hi].  Window size 256. *)
 
 val create_windowed : window:int -> lo:int -> hi:int -> t
 (** Like {!create} with an explicit violation-rate window; raises
     [Invalid_argument] when [window <= 0]. *)
-
-val default_window : int
 
 val apply : t -> int -> int
 val violations : t -> int

@@ -10,10 +10,8 @@
     identical to {!Interp} (the test suite checks this differentially on
     random verified programs).
 
-    Each program compiles as written.  The only verifier input the
-    compiler consumes is the per-pc proof array ({!Loaded.link}
-    [?proofs]): a context access or map window proven in bounds compiles
-    without its runtime guard.
+    Each program compiles as written, every runtime guard included: the
+    verifier's analysis decides admission only.
 
     Steady-state execution is allocation-free: the run state, helper
     environment, helper/model argument buffers and Mat_mul snapshot scratch

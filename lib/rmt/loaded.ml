@@ -15,14 +15,13 @@ type t = {
   call_args : int array array;
   ml_args : int array array;
   matmul_src : int array;
-  proofs : Absint.Proof.t array;
   mutable runs : int;
   mutable total_steps : int;
 }
 
 let next_uid = ref 0
 
-let link ?(rng = Kml.Rng.create 0x5eed) ?proofs ~store ~helpers ~maps ~models
+let link ?(rng = Kml.Rng.create 0x5eed) ~store ~helpers ~maps ~models
     (prog : Program.t) =
   if Array.length maps <> Array.length prog.map_specs then
     invalid_arg "Loaded.link: map slot count mismatch";
@@ -49,14 +48,6 @@ let link ?(rng = Kml.Rng.create 0x5eed) ?proofs ~store ~helpers ~maps ~models
   let max_cols =
     Array.fold_left (fun acc (c : Program.const) -> Stdlib.max acc c.cols) 0 prog.consts
   in
-  let proofs =
-    match proofs with
-    | Some p ->
-      if Array.length p <> Array.length prog.code then
-        invalid_arg "Loaded.link: proof array length mismatch";
-      p
-    | None -> Array.make (Array.length prog.code) Absint.Proof.none
-  in
   { prog;
     uid;
     maps;
@@ -76,7 +67,6 @@ let link ?(rng = Kml.Rng.create 0x5eed) ?proofs ~store ~helpers ~maps ~models
     call_args = Array.init 6 (fun arity -> Array.make arity 0);
     ml_args = Array.map (fun arity -> Array.make arity 0) prog.model_arity;
     matmul_src = Array.make max_cols 0;
-    proofs;
     runs = 0;
     total_steps = 0 }
 

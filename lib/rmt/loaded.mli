@@ -24,7 +24,6 @@ type t = {
   call_args : int array array;       (** helper-argument scratch, indexed by arity 0..5 *)
   ml_args : int array array;         (** feature scratch, one per model slot *)
   matmul_src : int array;            (** [Mat_mul] src-snapshot scratch (max const cols) *)
-  proofs : Absint.Proof.t array;     (** per-pc verifier proofs; engines elide proven guards *)
   mutable runs : int;
   mutable total_steps : int;
 }
@@ -36,7 +35,6 @@ type t = {
 
 val link :
   ?rng:Kml.Rng.t ->
-  ?proofs:Absint.Proof.t array ->
   store:Model_store.t ->
   helpers:Helper.t ->
   maps:Map_store.t array ->
@@ -46,12 +44,7 @@ val link :
 (** Builds the instance, creating fresh maps' bindings as given.  Checks
     that map and model slot counts match the program's declarations and
     that each bound model's feature arity matches; raises
-    [Invalid_argument] otherwise.  Tail-call slots start unbound.
-
-    [proofs] is the verifier report's per-pc proof array
-    ({!Verifier.report}); when present (length must equal the code
-    length), the engines skip runtime guards the analysis discharged.
-    Default: no proofs — every guard stays on, which is always safe. *)
+    [Invalid_argument] otherwise.  Tail-call slots start unbound. *)
 
 val bind_tail_call : t -> slot:int -> t -> unit
 val name : t -> string

@@ -74,15 +74,6 @@ let mem t key =
   | Lru s -> Hashtbl.mem s.nodes key
   | Ring _ -> false
 
-(* Window blit for verifier-proven [Vec_ld_map] on array maps: the abstract
-   interpreter guarantees [0 <= base && base + len <= capacity], so the
-   per-element bounds checks collapse into one blit. *)
-let unsafe_read_window t ~base ~dst ~dst_off ~len =
-  match t.repr with
-  | Arr a -> Array.blit a base dst dst_off len
-  | Hash _ | Lru _ | Ring _ ->
-    invalid_arg "Map_store.unsafe_read_window: array maps only"
-
 let update t ~key ~value =
   match t.repr with
   | Arr a -> if key >= 0 && key < Array.length a then a.(key) <- value

@@ -24,12 +24,6 @@ val lookup : t -> int -> int
 (** 0 when absent. *)
 
 val mem : t -> int -> bool
-val unsafe_read_window : t -> base:int -> dst:int array -> dst_off:int -> len:int -> unit
-(** Blit [len] consecutive values starting at key [base] into
-    [dst.(dst_off ..)].  Array maps only, no bounds checks: the caller
-    must hold a static proof that [0 <= base] and [base + len <=
-    capacity] (see {!Absint}).  Raises [Invalid_argument] on non-array
-    kinds. *)
 
 val update : t -> key:int -> value:int -> unit
 val delete : t -> int -> unit

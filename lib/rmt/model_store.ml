@@ -65,7 +65,6 @@ let model t h =
   t.slots.(h).model
 
 let id h = h
-let handle_of_id t i = if i >= 0 && i < t.len then Some i else None
 
 let predict t h features =
   check t h "predict";

@@ -25,7 +25,6 @@ val find : t -> string -> handle option
 val name : t -> handle -> string
 val model : t -> handle -> model
 val id : handle -> int
-val handle_of_id : t -> int -> handle option
 val n_features : model -> int
 val cost : model -> Kml.Model_cost.t
 val predict : t -> handle -> int array -> int

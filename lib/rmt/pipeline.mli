@@ -27,7 +27,6 @@ val attach : t -> hook:string -> Table.t -> unit
 val detach : t -> hook:string -> name:string -> bool
 (** Detach a table by name; [false] when absent. *)
 
-val tables_at : t -> hook:string -> Table.t list
 val hooks : t -> string list
 (** All hooks with at least one table, in first-attach order. *)
 

@@ -16,7 +16,6 @@ let create ~epsilon_milli =
   { budget_milli = epsilon_milli; spent_milli = 0; denials = 0 }
 
 let remaining_milli t = t.budget_milli - t.spent_milli
-let spent_milli t = t.spent_milli
 let denials t = t.denials
 
 type grant = Granted of { epsilon_milli : int } | Denied

@@ -33,7 +33,6 @@ let const_matrix ~name ~rows ~cols data =
   { name; rows; cols; data = Array.map Kml.Fixed.to_raw data }
 
 let const_vector ~name data = const_matrix ~name ~rows:1 ~cols:(Array.length data) data
-let const_of_qvec ~name qv = const_vector ~name qv
 
 let rate_limited t =
   List.find_map

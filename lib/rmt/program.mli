@@ -47,8 +47,6 @@ val const_vector : name:string -> Kml.Fixed.t array -> const
 val const_matrix : name:string -> rows:int -> cols:int -> Kml.Fixed.t array -> const
 (** Raises [Invalid_argument] if [Array.length data <> rows * cols]. *)
 
-val const_of_qvec : name:string -> Kml.Tensor.Qvec.t -> const
-
 val rate_limited : t -> (int * int) option
 (** [(tokens_per_sec, burst)] when declared. *)
 

@@ -4,7 +4,6 @@ type t = {
   scratch_words : int;
   const_words : int;
   table_slots : int;
-  elided_guards : int;
 }
 
 type budget = { max_steps : int; max_scratch_words : int; max_table_slots : int }
@@ -15,15 +14,6 @@ let default_budget =
     max_table_slots = 16 }
 
 let of_report (report : Verifier.report) (prog : Program.t) =
-  let elided_guards =
-    Array.fold_left
-      (fun acc p ->
-        if Absint.Proof.key_dense p || Absint.Proof.key_nonneg p
-           || Absint.Proof.window_in_bounds p
-        then acc + 1
-        else acc)
-      0 report.Verifier.proof
-  in
   { program = prog.Program.name;
     steps = report.Verifier.worst_case_steps;
     scratch_words = prog.Program.vmem_size;
@@ -34,8 +24,7 @@ let of_report (report : Verifier.report) (prog : Program.t) =
     table_slots =
       Array.length prog.Program.map_specs
       + Array.length prog.Program.model_arity
-      + prog.Program.n_prog_slots;
-    elided_guards }
+      + prog.Program.n_prog_slots }
 
 let within t b =
   t.steps <= b.max_steps
@@ -59,12 +48,11 @@ let pp fmt t =
     \  worst-case steps   %d@,\
     \  scratch words      %d@,\
     \  constant words     %d@,\
-    \  table slots        %d@,\
-    \  elided guards      %d@]"
-    t.program t.steps t.scratch_words t.const_words t.table_slots t.elided_guards
+    \  table slots        %d@]"
+    t.program t.steps t.scratch_words t.const_words t.table_slots
 
 let to_json t =
   Printf.sprintf
     "{\"program\":%S,\"steps\":%d,\"scratch_words\":%d,\"const_words\":%d,\
-     \"table_slots\":%d,\"elided_guards\":%d}"
-    t.program t.steps t.scratch_words t.const_words t.table_slots t.elided_guards
+     \"table_slots\":%d}"
+    t.program t.steps t.scratch_words t.const_words t.table_slots

@@ -2,9 +2,8 @@
 
     When the verifier admits a program, everything that bounds its
     runtime footprint is already known statically: the worst-case dynamic
-    step count, the scratchpad and constant-pool words it touches, the
-    kernel-object slots it will pin at link time, and how many runtime
-    guards the verifier's proofs let the engines drop.  [of_report]
+    step count, the scratchpad and constant-pool words it touches and the
+    kernel-object slots it will pin at link time.  [of_report]
     packages those numbers into one record per program, so operators can
     see what an install costs {e before} it serves traffic and CI can
     diff reports across revisions.
@@ -22,7 +21,6 @@ type t = {
   scratch_words : int;  (** vector scratchpad words zeroed per invocation *)
   const_words : int;    (** total constant-pool words pinned at link time *)
   table_slots : int;    (** kernel-object slots: maps + models + tail calls *)
-  elided_guards : int;  (** runtime guards discharged by verifier proofs *)
 }
 
 type budget = { max_steps : int; max_scratch_words : int; max_table_slots : int }
@@ -31,9 +29,7 @@ val default_budget : budget
 (** Mirrors {!Verifier.default_limits} for steps and scratch; 16 slots. *)
 
 val of_report : Verifier.report -> Program.t -> t
-(** Derive the report for a verified program.  [elided_guards] counts
-    the report's proofs that discharge a runtime guard, i.e. exactly the
-    sites {!Jit.compile} will compile unguarded. *)
+(** Derive the report for a verified program. *)
 
 val within : t -> budget -> bool
 

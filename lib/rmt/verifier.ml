@@ -21,7 +21,6 @@ type report = {
   uses_privacy : bool;
   model_slots_used : int list;
   helper_ids_used : int list;
-  proof : Absint.Proof.t array;
   facts : Absint.fact option array;
 }
 
@@ -350,7 +349,7 @@ let run_checks ~limits ~budget ~strict ~helpers ~model_costs (prog : Program.t) 
   let worst_case_steps = ref 0 in
   Array.iteri
     (fun pc w ->
-      if Absint.Proof.reachable ai.Absint.proofs.(pc) then
+      if ai.Absint.facts.(pc) <> None then
         worst_case_steps := sum_saturating !worst_case_steps w)
     weight;
   let worst_case_steps = !worst_case_steps in
@@ -390,7 +389,6 @@ let run_checks ~limits ~budget ~strict ~helpers ~model_costs (prog : Program.t) 
     uses_privacy = !uses_privacy;
     model_slots_used = List.sort compare !model_slots;
     helper_ids_used = List.sort compare !helper_ids;
-    proof = ai.Absint.proofs;
     facts = ai.Absint.facts }
 
 let check ?(limits = default_limits) ?(budget = Kml.Model_cost.default_budget)

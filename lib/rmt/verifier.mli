@@ -43,12 +43,8 @@ type report = {
   uses_privacy : bool;
   model_slots_used : int list;
   helper_ids_used : int list;
-  proof : Absint.Proof.t array;
-      (** per-pc facts from {!Absint.analyze} — {!Interp} and {!Jit}
-          consult these to elide runtime bounds/taint guards on proven
-          instructions (see {!Loaded.link}) *)
   facts : Absint.fact option array;
-      (** per-pc interval and taint facts from the same analysis
+      (** per-pc interval and taint facts from {!Absint.analyze}
           ([None] = unreachable); the datapath lint (lib/analysis)
           reads its rules off these *)
 }

@@ -43,20 +43,10 @@ type t = {
      first invocation; hence the deferred initialization below. *)
   mutable limiter_state : Rate_limit.t option;
   mutable limiter_initialized : bool;
-  mutable elided_sites : int; (* static count of proof-elided guard sites *)
   mutable traps : int;
   mutable canary : canary option;
   mutable grace : grace option;
 }
-
-let count_elided_sites (loaded : Loaded.t) =
-  Array.fold_left
-    (fun acc p ->
-      if Absint.Proof.key_dense p || Absint.Proof.key_nonneg p
-         || Absint.Proof.window_in_bounds p
-      then acc + 1
-      else acc)
-    0 loaded.Loaded.proofs
 
 let create ?(engine = Jit_compiled) loaded =
   { loaded;
@@ -64,7 +54,6 @@ let create ?(engine = Jit_compiled) loaded =
     compiled = (match engine with Jit_compiled -> Some (Jit.compile loaded) | Interpreted -> None);
     limiter_state = None;
     limiter_initialized = false;
-    elided_sites = count_elided_sites loaded;
     traps = 0;
     canary = None;
     grace = None }
@@ -111,8 +100,7 @@ let adopt t ?compiled loaded =
      | Jit_compiled ->
        (match compiled with Some _ as c -> c | None -> Some (Jit.compile loaded)));
   t.limiter_state <- None;
-  t.limiter_initialized <- false;
-  t.elided_sites <- count_elided_sites loaded
+  t.limiter_initialized <- false
 
 let swap t loaded =
   t.canary <- None;
@@ -150,7 +138,7 @@ let record t ~violations_before ~steps ~result ~throttled ~denied =
     ~hook:(Obs.Trace.current_hook ())
     ~uid:t.loaded.Loaded.uid
     ~engine:(engine_code t.engine)
-    ~steps ~elided:t.elided_sites ~result ~flags
+    ~steps ~result ~flags
 
 let guardrail_violations_now t =
   match t.loaded.Loaded.guardrail with Some g -> Guardrail.violations g | None -> 0
@@ -202,13 +190,13 @@ let promote t c =
      else None);
   Obs.Counter.incr c_promoted
 
-(* One shadow step per live invocation: run the candidate on a copy of the
-   context (its maps and vmem are its own, so the live datapath state is
-   untouched), compare against the incumbent's result, and promote or roll
-   back when the canary budget is spent. *)
-let shadow_step t c ~ctxt ~now incumbent_result =
+(* One shadow step per live invocation: run the candidate on [shadow_ctxt],
+   a copy of the context taken before the incumbent ran (its maps and vmem
+   are its own, so the live datapath state is untouched), compare against
+   the incumbent's result, and promote or roll back when the canary budget
+   is spent. *)
+let shadow_step t c ~shadow_ctxt ~now incumbent_result =
   Obs.Counter.incr c_shadow_runs;
-  let shadow_ctxt = Ctxt.copy ctxt in
   let violations_before =
     match c.c_loaded.Loaded.guardrail with Some g -> Guardrail.violations g | None -> 0
   in
@@ -248,9 +236,15 @@ let tick_grace t g =
   g.g_remaining <- g.g_remaining - 1;
   if g.g_remaining <= 0 then t.grace <- None
 
+(* The context a candidate shadows on: a copy taken before the incumbent
+   runs while a canary is in flight, so the candidate never sees the
+   incumbent's context writes; the live context itself (no allocation)
+   when idle, where no shadow run reads it. *)
+let shadow_of t ctxt = if t.canary == None then ctxt else Ctxt.copy ctxt
+
 (* Cold path hung off the hot invokes below: two option loads when idle. *)
-let staging_step t ~ctxt ~now result =
-  (match t.canary with Some c -> shadow_step t c ~ctxt ~now result | None -> ());
+let staging_step t ~shadow_ctxt ~now result =
+  (match t.canary with Some c -> shadow_step t c ~shadow_ctxt ~now result | None -> ());
   match t.grace with Some g -> tick_grace t g | None -> ()
 
 let stage_canary t ?(invocations = 64) ?max_divergences ?(grace = 256) loaded =
@@ -287,6 +281,7 @@ let canary_status t =
 
 let invoke t ~ctxt ~now =
   let violations_before = guardrail_violations_now t in
+  let shadow_ctxt = shadow_of t ctxt in
   let outcome =
     match
       (match t.engine with
@@ -307,11 +302,12 @@ let invoke t ~ctxt ~now =
     record t ~violations_before ~steps:outcome.Interp.steps ~result:outcome.Interp.result
       ~throttled ~denied:outcome.Interp.privacy_denied;
   if t.canary != None || t.grace != None then
-    staging_step t ~ctxt ~now outcome.Interp.result;
+    staging_step t ~shadow_ctxt ~now outcome.Interp.result;
   outcome
 
 let invoke_result t ~ctxt ~now =
   let violations_before = guardrail_violations_now t in
+  let shadow_ctxt = shadow_of t ctxt in
   (* The trap handlers sit inside each engine arm, on an immediate (int)
      or already-boxed (outcome) value: a handler around the whole match
      would force the triple to materialize and break the JIT path's
@@ -343,7 +339,7 @@ let invoke_result t ~ctxt ~now =
       (granted, granted < result)
   in
   if Obs.enabled () then record t ~violations_before ~steps ~result ~throttled ~denied;
-  if t.canary != None || t.grace != None then staging_step t ~ctxt ~now result;
+  if t.canary != None || t.grace != None then staging_step t ~shadow_ctxt ~now result;
   result
 
 let invoke_checked t ~ctxt ~now =
@@ -407,6 +403,12 @@ let invoke_batch t b ~now =
   let n = b.Batch.n in
   if n > 0 then begin
     let violations_before = guardrail_violations_now t in
+    (* Shadow contexts are snapshotted for the whole batch before either
+       path runs the incumbent on any slot. *)
+    let shadows =
+      if t.canary == None then b.Batch.ctxts
+      else Array.init n (fun s -> Ctxt.copy b.Batch.ctxts.(s))
+    in
     (* The SoA kernel runs only on the JIT engine with fault injection
        quiescent: under an active injection plan every per-slot seam
        (Engine_trap, model faults) must get its own draw, which the
@@ -442,7 +444,7 @@ let invoke_batch t b ~now =
           record t ~violations_before ~steps:b.Batch.steps.(s) ~result ~throttled
             ~denied:b.Batch.denied.(s);
         if t.canary != None || t.grace != None then
-          staging_step t ~ctxt:b.Batch.ctxts.(s) ~now result
+          staging_step t ~shadow_ctxt:shadows.(s) ~now result
       end
     done
   end
@@ -459,15 +461,7 @@ let throttled_units t =
 let guardrail_violations t =
   match t.loaded.Loaded.guardrail with Some g -> Guardrail.violations g | None -> 0
 
-let guardrail_violation_rate t =
-  match t.loaded.Loaded.guardrail with Some g -> Guardrail.violation_rate g | None -> 0.0
-
 let guardrail_degraded t ~rate =
   match t.loaded.Loaded.guardrail with
   | Some g -> Guardrail.violation_rate_ge g rate
   | None -> false
-
-let privacy_remaining_milli t =
-  match t.loaded.Loaded.privacy with
-  | Some acct -> Some (Privacy.remaining_milli acct)
-  | None -> None

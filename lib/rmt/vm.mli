@@ -73,7 +73,9 @@ val stage_canary :
   t -> ?invocations:int -> ?max_divergences:int -> ?grace:int -> Loaded.t -> unit
 (** Stage [loaded] as the candidate of a two-slot install.  For the next
     [invocations] (default 64) live invocations the candidate runs in
-    shadow on a {!Ctxt.copy} of each context; a shadow run that traps
+    shadow on a {!Ctxt.copy} of each context taken before the incumbent
+    runs on it, so it never sees the incumbent's context writes; a
+    shadow run that traps
     disqualifies it immediately, and one that violates its guardrail or
     disagrees with the incumbent's result counts as a divergence.  When
     the window closes the candidate is promoted iff its divergences are
@@ -112,13 +114,8 @@ val traps : t -> int
 
 val guardrail_violations : t -> int
 
-val guardrail_violation_rate : t -> float
-(** Recent-window violation rate of the program's guardrail, 0.0 when the
-    program declares none (see {!Guardrail.violation_rate}). *)
-
 val guardrail_degraded : t -> rate:float -> bool
-(** [guardrail_violation_rate t >= rate], without boxing a float return
-    — the pipeline health monitor calls this once per batch on the
-    serving hot path (see {!Guardrail.violation_rate_ge}). *)
-
-val privacy_remaining_milli : t -> int option
+(** Whether the program's guardrail's recent-window violation rate is
+    at least [rate] ([false] when it declares none), without boxing a
+    float return — the pipeline health monitor calls this once per batch
+    on the serving hot path (see {!Guardrail.violation_rate_ge}). *)

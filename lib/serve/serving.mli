@@ -118,19 +118,6 @@ val post_tenant : t -> tenant:int -> (unit -> unit) -> unit
     then all, each stage shadow-running the candidate under its
     divergence budget and gated on the shard breakers. *)
 
-val rollout_targets :
-  ?invocations:int ->
-  ?max_divergences:int ->
-  ?grace:int ->
-  dps:Shard.Datapath.dp array ->
-  program:Rmt.Program.t ->
-  unit ->
-  Rkd.Fleet.Rollout.target array
-(** One rollout target per shard datapath.  [program] must carry the name
-    of a program already installed on the shards (the standard datapath's
-    is {!Shard.Datapath.program_name}); its canary shadow-runs against
-    that incumbent. *)
-
 val staged_rollout :
   ?invocations:int ->
   ?max_divergences:int ->

@@ -176,9 +176,8 @@ let gen_program rng =
       [ Alu_imm (And, rk, 15); Map_update (1, rk, sreg ()) ]
   in
   (* Guard-path probes: unmasked dynamic ctxt keys (exercises the negative-
-     key guard) and Vec_ld_map windows both unproven (short reads past the
-     array end read 0) and masked-in-bounds (the verifier proves the window
-     and both engines take the elided blit path). *)
+     key guard) and Vec_ld_map windows both unbounded (short reads past the
+     array end read 0) and masked into the array (every read in bounds). *)
   let guard_block () =
     if not with_maps then [ St_ctxt_r (sreg (), sreg ()) ]
     else

@@ -265,12 +265,11 @@ let test_serve_staged_rollout_promotes () =
   let now = ref 1_000 in
   Serve.Serving.set_now fleet !now;
   let prog = Rkd.Prefetch_rmt.build_collect_program Rkd.Prefetch_rmt.default_params in
-  (* Identical program text fed a constant page stream: the collect
-     program mutates its context (history shift, last-page store) and the
-     shadow copy is taken after the incumbent ran, so only a fixed point
-     of that mutation — delta 0 under a constant page — shadow-runs
-     divergence-free.  Every stage then promotes under a zero-divergence
-     budget. *)
+  (* Identical program text fed a varying page stream.  The collect
+     program reads and writes its context (history shift, last-page
+     store), so the candidate agrees with the incumbent only if it shadows
+     on the context as it was before the incumbent ran.  Every stage then
+     promotes under a zero-divergence budget. *)
   (match
      Serve.Serving.staged_rollout ~invocations:4 ~max_divergences:0 ~grace:2 fleet ~dps
        ~program:prog ()
@@ -283,7 +282,7 @@ let test_serve_staged_rollout_promotes () =
       else begin
         now := !now + 1_000_000;
         Serve.Serving.set_now fleet !now;
-        Array.iter (fun t -> submit_exn fleet ~tenant:t ~page:0) tenants;
+        Array.iter (fun t -> submit_exn fleet ~tenant:t ~page:((i * 37) + t)) tenants;
         ignore (Serve.Serving.drain fleet : int);
         match Rkd.Fleet.Rollout.step r ~now:!now with
         | `In_flight -> loop (i + 1)

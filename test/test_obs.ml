@@ -113,11 +113,11 @@ let test_zero_alloc_primitives () =
   check_zero_alloc "Counter.add" (fun () -> Obs.Counter.add c 3);
   check_zero_alloc "Histo.observe" (fun () -> Obs.Histo.observe h 777);
   check_zero_alloc "Trace.emit" (fun () ->
-      Obs.Trace.emit ~hook:1 ~uid:2 ~engine:1 ~steps:9 ~elided:2 ~result:1 ~flags:0);
+      Obs.Trace.emit ~hook:1 ~uid:2 ~engine:1 ~steps:9 ~result:1 ~flags:0);
   Obs.set_enabled false;
   check_zero_alloc "disabled Counter.incr" (fun () -> Obs.Counter.incr c);
   check_zero_alloc "disabled Trace.emit" (fun () ->
-      Obs.Trace.emit ~hook:1 ~uid:2 ~engine:1 ~steps:9 ~elided:2 ~result:1 ~flags:0);
+      Obs.Trace.emit ~hook:1 ~uid:2 ~engine:1 ~steps:9 ~result:1 ~flags:0);
   Obs.set_enabled true
 
 (* ---------------- exactness under domain fan-out ---------------- *)
@@ -159,7 +159,7 @@ let test_counter_exact_under_par () =
 
 let emit_n ?(start = 0) n =
   for i = start to start + n - 1 do
-    Obs.Trace.emit ~hook:1 ~uid:7 ~engine:1 ~steps:i ~elided:0 ~result:(i * 2) ~flags:0
+    Obs.Trace.emit ~hook:1 ~uid:7 ~engine:1 ~steps:i ~result:(i * 2) ~flags:0
   done
 
 let test_trace_wrap_and_drop () =
