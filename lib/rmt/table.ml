@@ -12,9 +12,8 @@ type action =
 type entry_id = int
 
 type entry = {
-  id : entry_id;
+  id : entry_id; (* issued in insertion order; earlier wins among equal priorities *)
   priority : int;
-  seq : int; (* insertion order; earlier wins among equal priorities *)
   patterns : pattern array;
   mutable action : action;
   mutable hits : int;
@@ -25,19 +24,22 @@ type entry = {
    O(1) dispatch per distinct wildcard shape.  Entries with Mask/Between
    patterns stay on a sorted scan list.  Both candidate sets are consulted
    and the best entry (priority desc, insertion order asc) wins, so the
-   observable match semantics are identical to a full sorted scan. *)
+   observable match semantics are identical to a full sorted scan.  Insert
+   and remove update one bucket (or the scan list) and the shape's live
+   count in place; nothing keeps all entries sorted, so the oracle and [pp]
+   sort on demand. *)
 type t = {
   name : string;
   match_keys : int array;
   default : action;
-  mutable entries : entry list; (* all entries; kept sorted: priority desc, seq asc *)
-  mutable scan_entries : entry list; (* non-exact entries, same order *)
+  entries : (entry_id, entry) Hashtbl.t; (* live entries by id, unordered *)
+  mutable scan_entries : entry list; (* non-exact entries, best-first *)
   index : (int, entry list) Hashtbl.t; (* bucket lists sorted best-first *)
-  mutable group_masks : int array; (* distinct Eq-position bitmasks in the index *)
+  mutable group_masks : int array; (* the keys of [shapes], probed per lookup *)
+  shapes : (int, int) Hashtbl.t; (* live index entries per Eq-position bitmask *)
   fields : int array; (* per-lookup scratch; one slot per match key *)
   mutable entry_scratch : entry array; (* per-slot resolved entries for lookup_batch *)
   mutable next_id : int;
-  mutable next_seq : int;
   mutable total_hits : int;
   mutable default_hits : int;
 }
@@ -55,14 +57,14 @@ let create ~name ~match_keys ~default =
   { name;
     match_keys = Array.copy match_keys;
     default;
-    entries = [];
+    entries = Hashtbl.create 16;
     scan_entries = [];
     index = Hashtbl.create 16;
     group_masks = [||];
+    shapes = Hashtbl.create 4;
     fields = Array.make (Array.length match_keys) 0;
     entry_scratch = [||];
     next_id = 0;
-    next_seq = 0;
     total_hits = 0;
     default_hits = 0 }
 
@@ -70,7 +72,7 @@ let name t = t.name
 let match_keys t = Array.copy t.match_keys
 
 let entry_order a b =
-  match compare b.priority a.priority with 0 -> compare a.seq b.seq | c -> c
+  match compare b.priority a.priority with 0 -> compare a.id b.id | c -> c
 
 let pattern_matches p v =
   match p with
@@ -90,7 +92,7 @@ let entry_matches fields e = match_from e.patterns fields 0 (Array.length fields
 (* Sentinel for "no match" on the hot path: avoids option boxing per
    lookup.  Compared physically; loses to every real entry. *)
 let no_entry =
-  { id = -1; priority = min_int; seq = max_int; patterns = [||]; action = Const 0; hits = 0 }
+  { id = -1; priority = min_int; patterns = [||]; action = Const 0; hits = 0 }
 
 let rec first_match fields = function
   | [] -> no_entry
@@ -146,57 +148,65 @@ let index_key_fields mask fields = hash_fields fields 0 mask ((mask * 0x9E3779B1
 let index_key_patterns mask patterns =
   hash_patterns patterns 0 mask ((mask * 0x9E3779B1) land max_int)
 
-let rebuild_lookup t =
-  Hashtbl.reset t.index;
-  t.scan_entries <- [];
-  let masks = ref [] in
-  (* Iterate worst-first so that consing yields best-first lists. *)
-  List.iter
-    (fun e ->
-      let mask = exact_mask e.patterns in
-      if mask < 0 then t.scan_entries <- e :: t.scan_entries
-      else begin
-        if not (List.mem mask !masks) then masks := mask :: !masks;
-        let key = index_key_patterns mask e.patterns in
-        let bucket = match Hashtbl.find_opt t.index key with Some b -> b | None -> [] in
-        Hashtbl.replace t.index key (e :: bucket)
-      end)
-    (List.rev t.entries);
-  t.group_masks <- Array.of_list !masks
+(* [e] spliced into a best-first list at its (priority, id) position. *)
+let rec insert_ordered e = function
+  | x :: rest when entry_order x e < 0 -> x :: insert_ordered e rest
+  | l -> e :: l
+
+(* Live entries per wildcard shape: a shape joins [group_masks] with its
+   first entry and leaves with its last, so lookups probe no dead shape. *)
+let count_shape t mask delta =
+  let n = delta + Option.value ~default:0 (Hashtbl.find_opt t.shapes mask) in
+  if n = 0 then Hashtbl.remove t.shapes mask else Hashtbl.replace t.shapes mask n;
+  if n = 0 || (n = 1 && delta = 1) then
+    t.group_masks <- Array.of_seq (Hashtbl.to_seq_keys t.shapes)
+
+let bucket t key = match Hashtbl.find t.index key with b -> b | exception Not_found -> []
 
 let insert t ?(priority = 0) ~patterns action =
   if Array.length patterns <> Array.length t.match_keys then
     invalid_arg "Table.insert: pattern arity must match the table's match keys";
-  let entry =
-    { id = t.next_id;
-      priority;
-      seq = t.next_seq;
-      patterns = Array.copy patterns;
-      action;
-      hits = 0 }
-  in
+  let e = { id = t.next_id; priority; patterns = Array.copy patterns; action; hits = 0 } in
   t.next_id <- t.next_id + 1;
-  t.next_seq <- t.next_seq + 1;
-  t.entries <- List.sort entry_order (entry :: t.entries);
-  rebuild_lookup t;
+  Hashtbl.add t.entries e.id e;
+  let mask = exact_mask e.patterns in
+  if mask < 0 then t.scan_entries <- insert_ordered e t.scan_entries
+  else begin
+    count_shape t mask 1;
+    let key = index_key_patterns mask e.patterns in
+    Hashtbl.replace t.index key (insert_ordered e (bucket t key))
+  end;
   Obs.Counter.incr c_inserts;
-  entry.id
+  e.id
 
 let remove t id =
-  let before = List.length t.entries in
-  t.entries <- List.filter (fun e -> e.id <> id) t.entries;
-  let removed = List.length t.entries < before in
-  if removed then rebuild_lookup t;
-  removed
+  match Hashtbl.find t.entries id with
+  | exception Not_found -> false
+  | e ->
+    Hashtbl.remove t.entries id;
+    let mask = exact_mask e.patterns in
+    if mask < 0 then t.scan_entries <- List.filter (( != ) e) t.scan_entries
+    else begin
+      count_shape t mask (-1);
+      let key = index_key_patterns mask e.patterns in
+      match List.filter (( != ) e) (bucket t key) with
+      | [] -> Hashtbl.remove t.index key
+      | b -> Hashtbl.replace t.index key b
+    end;
+    true
 
 let set_action t id action =
-  match List.find_opt (fun e -> e.id = id) t.entries with
-  | Some e ->
+  match Hashtbl.find t.entries id with
+  | e ->
     e.action <- action;
     true
-  | None -> false
+  | exception Not_found -> false
 
-let entry_count t = List.length t.entries
+let entry_count t = Hashtbl.length t.entries
+
+(* All live entries, best-first; for the oracle and [pp], off the hot path. *)
+let sorted_entries t =
+  List.sort entry_order (Hashtbl.fold (fun _ e acc -> e :: acc) t.entries [])
 
 let read_fields t ~ctxt =
   let fields = t.fields in
@@ -343,22 +353,25 @@ let lookup_entry t ~ctxt =
   let e = find_entry t (read_fields t ~ctxt) in
   if e == no_entry then None else Some e.id
 
-(* Reference lookup: full scan of the sorted entry list.  Kept as the
-   differential-test oracle for the indexed path. *)
+(* Reference lookup: full scan of the entries, sorted on demand.  Kept as
+   the differential-test oracle for the indexed path. *)
 let lookup_entry_linear t ~ctxt =
-  let e = first_match (read_fields t ~ctxt) t.entries in
+  let e = first_match (read_fields t ~ctxt) (sorted_entries t) in
   if e == no_entry then None else Some e.id
 let hits t = t.total_hits
 let default_hits t = t.default_hits
 
 let entry_hits t id =
-  match List.find_opt (fun e -> e.id = id) t.entries with Some e -> e.hits | None -> 0
+  match Hashtbl.find t.entries id with e -> e.hits | exception Not_found -> 0
 
 let clear t =
-  t.entries <- [];
+  Hashtbl.reset t.entries;
+  Hashtbl.reset t.index;
+  t.scan_entries <- [];
+  Hashtbl.reset t.shapes;
+  t.group_masks <- [||];
   t.total_hits <- 0;
-  t.default_hits <- 0;
-  rebuild_lookup t
+  t.default_hits <- 0
 
 let pp_pattern fmt = function
   | Any -> Format.fprintf fmt "*"
@@ -375,4 +388,4 @@ let pp fmt t =
       Format.fprintf fmt "  #%d prio=%d hits=%d [%s]@." e.id e.priority e.hits
         (String.concat "; "
            (Array.to_list (Array.map (Format.asprintf "%a" pp_pattern) e.patterns))))
-    t.entries
+    (sorted_entries t)

@@ -14,7 +14,11 @@
     shape), so exact-match tables dispatch in O(1) regardless of entry
     count; [Mask]/[Between] entries fall back to a priority-ordered scan.
     Field reads go through a preallocated scratch buffer, so a lookup
-    allocates nothing and performs exactly one {!Ctxt.get} per match key. *)
+    allocates nothing and performs exactly one {!Ctxt.get} per match key.
+    Mutation is incremental: {!entry_count}, {!set_action} and
+    {!entry_hits} are O(1); {!insert} and {!remove} touch one index bucket
+    (O(1) amortized for distinct exact keys) or, for a [Mask]/[Between]
+    entry, the scan list — never the whole table. *)
 
 type pattern =
   | Any
@@ -59,9 +63,10 @@ val lookup_entry : t -> ctxt:Ctxt.t -> entry_id option
 (** Which entry would fire, without running its action. *)
 
 val lookup_entry_linear : t -> ctxt:Ctxt.t -> entry_id option
-(** Reference lookup: full priority-ordered scan, no index.  Same answer as
-    {!lookup_entry} by construction; kept as the oracle for the indexed
-    path's differential tests. *)
+(** Reference lookup: sorts the live entries (priority desc, insertion
+    order asc) on demand and scans them, no index — O(n log n) per call.
+    Same answer as {!lookup_entry} by construction; kept as the oracle for
+    the indexed path's differential tests. *)
 
 val hits : t -> int
 val default_hits : t -> int

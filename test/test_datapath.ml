@@ -93,12 +93,131 @@ let prop_table_index_matches_linear =
       for _ = 1 to 20 do
         if not (agree ()) then ok := false
       done;
-      (* removal must rebuild the index consistently *)
+      (* removal must keep the index consistent *)
       List.iteri (fun i id -> if i mod 3 = 0 then ignore (Rmt.Table.remove table id)) ids;
       for _ = 1 to 20 do
         if not (agree ()) then ok := false
       done;
       !ok)
+
+(* Inserts, removes, action updates and clears interleave at random, so a
+   bucket spliced out of order, a stale scan list or a shape whose live
+   count went wrong shows up against the oracle after the mutation that
+   caused it.  [live] models the table: id and current action value. *)
+let prop_table_interleaved_mutation =
+  QCheck2.Test.make ~name:"indexed table = oracle under interleaved mutation" ~count:150
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Kml.Rng.create seed in
+      let ri n = Kml.Rng.int rng n in
+      let arity = 1 + ri 3 in
+      let cap = 8 + ri 57 in
+      let table =
+        Rmt.Table.create ~name:"mut"
+          ~match_keys:(Array.init arity (fun i -> i))
+          ~default:(Rmt.Table.Const (-1))
+      in
+      let live = ref [] and dead = ref [] in
+      let pick l = List.nth l (ri (List.length l)) in
+      let kill id =
+        live := List.remove_assoc id !live;
+        dead := id :: !dead
+      in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      let check () =
+        expect (Rmt.Table.entry_count table = List.length !live);
+        for _ = 1 to 6 do
+          let ctxt = Rmt.Ctxt.create () in
+          for k = 0 to arity - 1 do
+            if ri 4 > 0 then Rmt.Ctxt.set ctxt k (ri 6)
+          done;
+          let oracle = Rmt.Table.lookup_entry_linear table ~ctxt in
+          expect (Rmt.Table.lookup_entry table ~ctxt = oracle);
+          let value = match oracle with Some id -> List.assoc id !live | None -> -1 in
+          expect (Rmt.Table.lookup table ~ctxt ~now:now0 = value)
+        done;
+        List.iter
+          (fun id ->
+            expect (not (Rmt.Table.remove table id));
+            expect (Rmt.Table.entry_hits table id = 0))
+          !dead
+      in
+      for _ = 1 to 160 do
+        (match ri 10 with
+         | 0 | 1 | 2 | 3 | 4 when List.length !live < cap ->
+           let v = ri 100 in
+           let id =
+             Rmt.Table.insert table ~priority:(ri 3)
+               ~patterns:(Array.init arity (fun _ -> random_pattern ri))
+               (Rmt.Table.Const v)
+           in
+           live := (id, v) :: !live
+         | 7 | 8 when !live <> [] ->
+           let id, _ = pick !live in
+           let v = ri 100 in
+           expect (Rmt.Table.set_action table id (Rmt.Table.Const v));
+           live := (id, v) :: List.remove_assoc id !live
+         | 9 when ri 6 = 0 ->
+           Rmt.Table.clear table;
+           List.iter (fun (id, _) -> kill id) !live
+         | _ when !live <> [] ->
+           let id, _ = pick !live in
+           expect (Rmt.Table.remove table id);
+           kill id
+         | _ -> ());
+        check ()
+      done;
+      !ok)
+
+(* Table mutation costs O(1) amortized: minor words per insert or remove
+   on a table of thousands of distinct Eq keys stay within 2x of the same
+   operation on a 32-entry table.  Counted with Gc.minor_words, so the
+   check is deterministic (no timing).  A sorted list plus an index rebuilt
+   per mutation costs O(n log n) words per insert and O(n) per remove. *)
+let table_keys = 8192
+let key_patterns = Array.init table_keys (fun k -> [| Rmt.Table.Eq k |])
+
+let words_per_op ~from ~upto f =
+  let before = Gc.minor_words () in
+  for k = from to upto - 1 do
+    f k
+  done;
+  (Gc.minor_words () -. before) /. float_of_int (upto - from)
+
+let check_scales what ~small ~large =
+  if large > 2.0 *. small then
+    Alcotest.failf "%s: %.1f minor words per op at 4096+ entries vs %.1f at 16-31" what large
+      small
+
+let fresh_table () =
+  Rmt.Table.create ~name:"cost" ~match_keys:[| 0 |] ~default:(Rmt.Table.Const (-1))
+
+let test_table_insert_cost () =
+  let table = fresh_table () in
+  let action = Rmt.Table.Const 1 in
+  let insert k = ignore (Rmt.Table.insert table ~patterns:key_patterns.(k) action) in
+  for k = 0 to 15 do
+    insert k
+  done;
+  let small = words_per_op ~from:16 ~upto:32 insert in
+  for k = 32 to 4095 do
+    insert k
+  done;
+  let large = words_per_op ~from:4096 ~upto:table_keys insert in
+  check_scales "Table.insert" ~small ~large
+
+let test_table_remove_cost () =
+  let words n ~from ~upto =
+    let table = fresh_table () in
+    let ids =
+      Array.init n (fun k -> Rmt.Table.insert table ~patterns:key_patterns.(k) (Rmt.Table.Const k))
+    in
+    words_per_op ~from ~upto (fun k -> ignore (Rmt.Table.remove table ids.(k)))
+  in
+  let small = words 32 ~from:16 ~upto:32 in
+  let large = words table_keys ~from:4096 ~upto:table_keys in
+  check_scales "Table.remove" ~small ~large
 
 let test_table_priority_and_ties () =
   (* Exact-match entries across different wildcard shapes plus a scan
@@ -440,6 +559,9 @@ let suite =
           test_invoke_result_zero_alloc;
         Alcotest.test_case "table lookup is allocation-free" `Quick
           test_table_lookup_zero_alloc;
+        Prop.to_alcotest prop_table_interleaved_mutation;
+        Alcotest.test_case "table insert cost is O(1)" `Quick test_table_insert_cost;
+        Alcotest.test_case "table remove cost is O(1)" `Quick test_table_remove_cost;
         Alcotest.test_case "tree predict is allocation-free" `Quick
           test_tree_predict_zero_alloc;
         Alcotest.test_case "jit unit cache keyed by uid" `Quick test_jit_unit_cache_by_uid ] ) ]
